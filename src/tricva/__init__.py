@@ -18,7 +18,7 @@ from .domain3d import (DomainSpec, SurfaceMesh, build_domain, build_mesh,
 from .fem import EigenBasis, build_basis, solve_eig, eval_basis
 from .cds3d import (TruncationWarning, SphericalPoint, transform_3d,
                     green_3d, survival_3d, prepare_pricing, cva_3d, dva_3d,
-                    breakeven_coupon_3d)
+                    breakeven_coupon_3d, Price3d, price_3d)
 from .mc_oracle import (McConfig, McEstimate, simulate_survival,
                         simulate_cva_dva, richardson)
 
@@ -36,7 +36,7 @@ __all__ = [
     "EigenBasis", "build_basis", "solve_eig", "eval_basis",
     "TruncationWarning", "SphericalPoint", "transform_3d", "green_3d",
     "survival_3d", "prepare_pricing", "cva_3d", "dva_3d",
-    "breakeven_coupon_3d",
+    "breakeven_coupon_3d", "Price3d", "price_3d",
     "McConfig", "McEstimate", "simulate_survival", "simulate_cva_dva",
     "richardson",
     "__version__",

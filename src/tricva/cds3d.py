@@ -13,9 +13,10 @@ the discrete basis and needs no off-mesh differentiation.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import cds1d
 from .cds2d import cva_2d, survival_2d, to_wedge
@@ -265,42 +266,57 @@ def _variational_face_fluxes(basis, domain):
         reference_coeff=resid[idx[on_reference]][order_r])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PricingGrid:
-    """Coupon-independent quadrature data reused across valuations."""
+    """Coupon-independent quadrature data reused across valuations.
+
+    The 1D CDS value on each face grid is linear in the coupon,
+    V = D - coupon A, so the default legs D and risky annuities A at
+    every (time left, radius, face node) are computed once here; a
+    valuation at another coupon only rescales the annuities.
+    """
     domain: object
     source: SphericalPoint
     maturity: float
     rate: float
+    recovery: float
     t_nodes: np.ndarray
     t_weights: np.ndarray
     r_nodes: np.ndarray
     r_weights: np.ndarray
-    flux_seller: np.ndarray   # (nt, nr, ks): sum_n psi0_n radial_n R_kn
-    flux_buyer: np.ndarray    # (nt, nr, kb)
-    y_seller: np.ndarray      # (nr, ks) reference distance on the face
-    y_buyer: np.ndarray       # (nr, kb)
-    _v_cache: dict = field(default_factory=dict, repr=False)
+    flux_seller: np.ndarray      # (nt, nr, ks): sum_n psi0_n radial_n R_kn
+    flux_buyer: np.ndarray       # (nt, nr, kb)
+    default_seller: np.ndarray   # (nt, nr, ks) D on the seller's face
+    annuity_seller: np.ndarray   # (nt, nr, ks) A on the seller's face
+    default_buyer: np.ndarray    # (nt, nr, kb)
+    annuity_buyer: np.ndarray    # (nt, nr, kb)
 
     def values(self, terms):
-        """1D CDS values on both face grids, keyed by the coupon."""
-        key = (terms.coupon, terms.recovery)
-        hit = self._v_cache.get(key)
-        if hit is not None:
-            return hit
-        tau_left = self.maturity - self.t_nodes
-        vs = cds1d.cds_values_1d(
-            tau_left[:, None, None], self.y_seller[None, :, :], terms)
-        vb = cds1d.cds_values_1d(
-            tau_left[:, None, None], self.y_buyer[None, :, :], terms)
-        self._v_cache.clear()  # breakeven solvers move coupon each call
-        self._v_cache[key] = (vs, vb)
-        return vs, vb
+        """1D CDS values D - coupon A on the seller and buyer face grids.
+
+        Raises ValueError when terms differ from the grid's in anything
+        but the coupon.
+        """
+        if (terms.maturity, terms.rate, terms.recovery) != (
+                self.maturity, self.rate, self.recovery):
+            raise ValueError("pricing grid built for other terms: only "
+                             "the coupon may change")
+        return (self.default_seller - terms.coupon * self.annuity_seller,
+                self.default_buyer - terms.coupon * self.annuity_buyer)
+
+
+def _face_distances(domain, fluxes, r_nodes):
+    """Reference distance at each radius on the seller and buyer faces."""
+    bxy = domain.rho_bar_xy
+    y_s = bxy * np.outer(r_nodes, np.sin(fluxes.seller_theta))
+    ray = (domain.rho_xy * np.sin(fluxes.buyer_phi)
+           + bxy * np.cos(fluxes.buyer_phi)) * np.sin(fluxes.buyer_theta)
+    return y_s, np.outer(r_nodes, ray)
 
 
 def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
                     n_terms=None, fluxes=None):
-    """Assemble the time/radius grids and per-face flux tensors."""
+    """Assemble the time/radius grids, per-face flux tensors and 1D legs."""
     n_terms = basis.n_modes if n_terms is None else n_terms
     if fluxes is None:
         fluxes = _variational_face_fluxes(basis, domain)
@@ -321,20 +337,23 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
         ex = gap * gap / (2.0 * t_nodes)
         flux *= np.exp(np.minimum(0.0, _REACH_EXPONENT - ex))[:, None, None]
 
-    bxy = domain.rho_bar_xy
-    y_s = bxy * np.outer(r_nodes, np.sin(fluxes.seller_theta))
-    ray = (domain.rho_xy * np.sin(fluxes.buyer_phi)
-           + bxy * np.cos(fluxes.buyer_phi)) * np.sin(fluxes.buyer_theta)
-    y_b = np.outer(r_nodes, ray)
-    return PricingGrid(domain=domain, source=source,
-                       maturity=terms.maturity, rate=terms.rate,
-                       t_nodes=t_nodes, t_weights=t_w,
-                       r_nodes=r_nodes, r_weights=r_w,
-                       flux_seller=flux_s, flux_buyer=flux_b,
-                       y_seller=y_s, y_buyer=y_b)
+    tau_left = (terms.maturity - t_nodes)[:, None, None]
+    y_s, y_b = (y[None, :, :]
+                for y in _face_distances(domain, fluxes, r_nodes))
+    rate, recovery = terms.rate, terms.recovery
+    return PricingGrid(
+        domain=domain, source=source, maturity=terms.maturity, rate=rate,
+        recovery=recovery, t_nodes=t_nodes, t_weights=t_w,
+        r_nodes=r_nodes, r_weights=r_w,
+        flux_seller=flux_s, flux_buyer=flux_b,
+        default_seller=cds1d.default_leg_1d(tau_left, y_s, rate, recovery),
+        annuity_seller=cds1d.annuity_1d(tau_left, y_s, rate),
+        default_buyer=cds1d.default_leg_1d(tau_left, y_b, rate, recovery),
+        annuity_buyer=cds1d.annuity_1d(tau_left, y_b, rate))
 
 
-def _leg(grid, terms, which):
+def _leg(grid, terms, which, recovery):
+    """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do."""
     vs, vb = grid.values(terms)
     if which == "cva":
         exposure = np.maximum(vs, 0.0)
@@ -344,7 +363,13 @@ def _leg(grid, terms, which):
         flux = grid.flux_buyer
     disc = np.exp(-terms.rate * grid.t_nodes)
     inner = np.einsum("ijk,ijk,j->i", exposure, flux, grid.r_weights)
-    return -0.5 * float(np.sum(grid.t_weights * disc * inner))
+    leg = -0.5 * float(np.sum(grid.t_weights * disc * inner))
+    # the seller's leg is a loss; the buyer's is non-positive and its
+    # sign flip makes the bilateral value V - cva + dva. Truncation
+    # noise can push a vanishing adjustment a hair negative.
+    if which == "cva":
+        return max(0.0, (1.0 - recovery) * leg)
+    return max(0.0, -(1.0 - recovery) * leg)
 
 
 def cva_3d(basis, domain, source, terms, recovery_seller, n_time=48,
@@ -364,8 +389,7 @@ def cva_3d(basis, domain, source, terms, recovery_seller, n_time=48,
     if grid is None:
         grid = prepare_pricing(basis, domain, source, terms, n_time,
                                n_radial, n_terms)
-    # truncation noise can push a vanishing adjustment a hair negative
-    return max(0.0, (1.0 - recovery_seller) * _leg(grid, terms, "cva"))
+    return _leg(grid, terms, "cva", recovery_seller)
 
 
 def dva_3d(basis, domain, source, terms, recovery_buyer, n_time=48,
@@ -384,45 +408,46 @@ def dva_3d(basis, domain, source, terms, recovery_buyer, n_time=48,
     if grid is None:
         grid = prepare_pricing(basis, domain, source, terms, n_time,
                                n_radial, n_terms)
-    # truncation noise can push a vanishing adjustment a hair negative
-    return max(0.0, -(1.0 - recovery_buyer) * _leg(grid, terms, "dva"))
+    return _leg(grid, terms, "dva", recovery_buyer)
 
 
 def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
                         recovery_buyer, y0_reference, adjust="bilateral",
-                        n_time=48, n_radial=200, n_terms=None):
+                        n_time=48, n_radial=200, n_terms=None, grid=None):
     """Coupon that zeroes the adjusted contract value.
 
     adjust picks which legs enter: "none" reproduces the plain two-name
     coupon, "cva" charges the seller leg, "dva" credits the buyer leg,
-    "bilateral" both. y0_reference is the reference's own distance used
-    for the unadjusted value.
+    "bilateral" both, each as cva_3d and dva_3d report it.
+    y0_reference is the reference's own distance used for the
+    unadjusted value. grid is a prepare_pricing grid for these terms at
+    any coupon; one is built when it is None.
 
     A buyer with z > 4 sqrt(T) cannot default by maturity: the CVA leg
     is then cva_2d on the seller-reference wedge and the DVA leg is
     zero, as in cva_3d and dva_3d, so no three-name grid is built; the
     adjusted value is off by at most the sum of their two error bounds.
     """
-    from dataclasses import replace
-    from scipy.optimize import brentq
-
-    plain = cds1d.breakeven_coupon_1d(terms.maturity, y0_reference,
-                                      terms.rate, terms.recovery)
+    # the closed-form value is linear in the coupon: V = D - coupon A
+    d0 = cds1d.default_leg_1d(terms.maturity, y0_reference, terms.rate,
+                              terms.recovery)
+    a0 = cds1d.annuity_1d(terms.maturity, y0_reference, terms.rate)
+    plain = d0 / a0
     if adjust == "none":
         return plain
     wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
-    if wedge is None:
+    if wedge is None and grid is None:
         grid = prepare_pricing(basis, domain, source, terms, n_time,
                                n_radial, n_terms)
 
     def adjusted(coupon):
         t = replace(terms, coupon=coupon)
-        value = cds1d.cds_values_1d(t.maturity, y0_reference, t)
+        value = d0 - coupon * a0
         if adjust in ("cva", "bilateral"):
             value -= (cva_2d(wedge, t, recovery_seller) if wedge is not None
-                      else (1.0 - recovery_seller) * _leg(grid, t, "cva"))
+                      else _leg(grid, t, "cva", recovery_seller))
         if adjust in ("dva", "bilateral") and wedge is None:
-            value += -(1.0 - recovery_buyer) * _leg(grid, t, "dva")
+            value += _leg(grid, t, "dva", recovery_buyer)
         return value
 
     lo, hi = 0.25 * plain, 4.0 * plain + 1e-4
@@ -436,3 +461,42 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
     else:
         raise RuntimeError("no breakeven coupon bracket found")
     return brentq(adjusted, lo, hi, xtol=1e-12, rtol=1e-12)
+
+
+@dataclass(frozen=True)
+class Price3d:
+    """Break-even coupons and adjustments of one contract at one maturity."""
+    bec_1d: float
+    bec_cva_only: float
+    bec_dva_only: float
+    bec_bilateral: float
+    cva: float
+    dva: float
+
+
+def price_3d(basis, domain, source, terms, recovery_seller, recovery_buyer,
+             y0_reference, n_time=48, n_radial=200, n_terms=None):
+    """The four break-even coupons, CVA and DVA of one contract.
+
+    Every root and both adjustments (at terms.coupon) read one
+    prepare_pricing grid. A buyer with z > 4 sqrt(T) builds none: its
+    DVA leg is zero, so the bilateral coupon is the CVA-only one, rooted
+    once on the two-name wedge.
+    """
+    far = _unreachable_buyer_wedge(domain, source,
+                                   terms.maturity) is not None
+    grid = None if far else prepare_pricing(basis, domain, source, terms,
+                                            n_time, n_radial, n_terms)
+
+    def coupon(adjust):
+        return breakeven_coupon_3d(basis, domain, source, terms,
+                                   recovery_seller, recovery_buyer,
+                                   y0_reference, adjust=adjust, grid=grid)
+
+    bec_cva = coupon("cva")
+    return Price3d(
+        bec_1d=coupon("none"), bec_cva_only=bec_cva,
+        bec_dva_only=coupon("dva"),
+        bec_bilateral=bec_cva if far else coupon("bilateral"),
+        cva=cva_3d(basis, domain, source, terms, recovery_seller, grid=grid),
+        dva=dva_3d(basis, domain, source, terms, recovery_buyer, grid=grid))

@@ -304,23 +304,12 @@ def cmd_price(cfg, out_dir, cache_dir):
     n_terms = min(cfg.series["n_terms"], basis.n_modes)
     rows = []
     for mat in cfg.maturities:
-        terms = replace(cfg.terms, maturity=mat)
-        grid = cds3d.prepare_pricing(basis, spec, source, terms,
-                                     n_time=quad["n_time"],
-                                     n_radial=quad["n_radial"],
-                                     n_terms=n_terms)
-        becs = {}
-        for adjust in ("none", "cva", "dva", "bilateral"):
-            becs[adjust] = cds3d.breakeven_coupon_3d(
-                basis, spec, source, terms, rec_s, rec_b, y0,
-                adjust=adjust, n_time=quad["n_time"],
-                n_radial=quad["n_radial"], n_terms=n_terms)
-        rows.append((mat, becs["none"], becs["cva"], becs["dva"],
-                     becs["bilateral"],
-                     cds3d.cva_3d(basis, spec, source, terms, rec_s,
-                                  grid=grid),
-                     cds3d.dva_3d(basis, spec, source, terms, rec_b,
-                                  grid=grid),
+        p = cds3d.price_3d(basis, spec, source,
+                           replace(cfg.terms, maturity=mat), rec_s, rec_b,
+                           y0, n_time=quad["n_time"],
+                           n_radial=quad["n_radial"], n_terms=n_terms)
+        rows.append((mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
+                     p.bec_bilateral, p.cva, p.dva,
                      cds3d.survival_3d(basis, mat, source,
                                        n_terms=n_terms)))
     _write_csv(Path(out_dir) / "price.csv", cfg, key,

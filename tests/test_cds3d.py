@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +413,32 @@ class TestPricing:
             assert q2 - tail - 1e-9 * q2 <= q3 <= q2 * (1.0 + 1e-9)
 
 
+class TestPricingGrid:
+    def test_values_match_closed_form_on_face_grids(self, basis_table1):
+        # D - coupon A, precomputed once per grid, reproduces the 1D
+        # closed form at every coupon bit for bit
+        spec, basis = basis_table1
+        src = _source(basis_table1)
+        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        fluxes = cds3d._variational_face_fluxes(basis, spec)
+        faces = cds3d._face_distances(spec, fluxes, grid.r_nodes)
+        tau_left = (TERMS.maturity - grid.t_nodes)[:, None, None]
+        for coupon in (0.01, 0.035):
+            t = replace(TERMS, coupon=coupon)
+            for got, y in zip(grid.values(t), faces):
+                want = cds1d.cds_values_1d(tau_left, y[None, :, :], t)
+                assert np.array_equal(got, want)
+
+    def test_values_reject_other_terms(self, basis_table1):
+        spec, basis = basis_table1
+        grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
+                                     TERMS, n_time=8, n_radial=16)
+        for change in ({"maturity": 4.0}, {"rate": 0.03},
+                       {"recovery": 0.3}):
+            with pytest.raises(ValueError):
+                grid.values(replace(TERMS, **change))
+
+
 class TestBreakeven:
     def test_orderings_and_plain_reduction(self, octant_basis):
         spec, basis = octant_basis
@@ -461,4 +488,28 @@ class TestBreakeven:
         v = (cds1d.cds_value_1d(5.0, Y0, t2).value
              - cds3d.cva_3d(basis, spec, src, t2, 0.5)
              + cds3d.dva_3d(basis, spec, src, t2, 0.4))
+        assert abs(v) < 1e-9
+
+    def test_safe_buyer_roots_on_the_reported_legs(self):
+        # at 1y the raw buyer leg of this safe buyer is a hair negative
+        # (-3e-8); dva_3d reports it as 0, and the roots must agree
+        spec = domain3d.build_domain(CorrelationTriple(0.8, 0.5, 0.3))
+        mesh = domain3d.build_mesh(spec, n_points=500, seed=0)
+        basis = fem.build_basis(mesh, n_modes=60)
+        x0, y0, z0 = 1.863937644072288, 2.503456943005701, 2.985653180560821
+        src = cds3d.transform_3d(spec, x0, y0, z0)
+        terms = replace(TERMS, maturity=1.0)
+        quad = dict(n_time=24, n_radial=100)
+        bec = {m: cds3d.breakeven_coupon_3d(
+                   basis, spec, src, terms, recovery_seller=0.5,
+                   recovery_buyer=0.4, y0_reference=y0, adjust=m, **quad)
+               for m in ("none", "cva", "dva", "bilateral")}
+        # the roots carry brentq's 1e-12 round-off
+        assert bec["dva"] >= bec["none"] * (1.0 - 1e-12)
+        assert bec["bilateral"] >= bec["cva"] * (1.0 - 1e-12)
+        t2 = replace(terms, coupon=bec["bilateral"])
+        grid = cds3d.prepare_pricing(basis, spec, src, t2, **quad)
+        v = (cds1d.cds_value_1d(1.0, y0, t2).value
+             - cds3d.cva_3d(basis, spec, src, t2, 0.5, grid=grid)
+             + cds3d.dva_3d(basis, spec, src, t2, 0.4, grid=grid))
         assert abs(v) < 1e-9

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from tricva import cli
+from tricva import cds3d, cli
 
 
 def _write_config(path, **sections):
@@ -113,6 +113,35 @@ class TestPrice:
             assert vals["bec_dva_only"] > vals["bec_cva_only"]
             assert vals["cva"] >= 0.0 and vals["dva"] >= 0.0
             assert 0.0 < vals["survival_3d"] < 1.0
+
+    def test_one_pricing_grid_per_maturity(self, tmp_path, monkeypatch):
+        built = []
+        prepare = cds3d.prepare_pricing
+
+        def counted(*args, **kwargs):
+            built.append(args[3].maturity)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(cds3d, "prepare_pricing", counted)
+        rho = {"xy": 0.8, "xz": 0.5, "yz": 0.3}
+        cfgp = _write_config(tmp_path / "c.json", rho=rho)
+        assert _run(tmp_path, "price", cfgp) == cli.OK
+        assert built == [1.0, 5.0]
+        # a buyer 20 from its barrier, past z > 4 sqrt(T) at both
+        # maturities, is priced on the two-name wedge: no grid, and no
+        # DVA leg to move the bilateral coupon off the CVA-only one
+        built.clear()
+        far = _write_config(tmp_path / "f.json", rho=rho,
+                            firms={"Z": {"equity": 1.26,
+                                         "volatility": 0.063}})
+        assert _run(tmp_path, "price", far) == cli.OK
+        assert built == []
+        lines = (tmp_path / "out" / "price.csv").read_text().splitlines()
+        assert len(lines) == 4
+        for line in lines[2:]:
+            vals = dict(zip(lines[1].split(","), line.split(",")))
+            assert vals["bec_bilateral"] == vals["bec_cva_only"]
+            assert float(vals["dva"]) == 0.0
 
 
 class TestValidate:
