@@ -19,8 +19,8 @@ from scipy import special as _sp
 
 from .specfun import gauss_legendre, norm_cdf, norm_pdf
 
-# Below this, the closed-form annuity divides 0/0 in the rate; switch to the
-# exact zero-rate limit instead. Scaled by 1/tau so the test is dimensionless.
+# Below this rate * tau, the annuity's discounted default loss divides a
+# vanishing difference by the rate; the zero-rate loss is used instead.
 _RATE_FLOOR = 1e-8
 
 
@@ -69,54 +69,67 @@ def survival_1d(tau, y0):
     return out if out.ndim else float(out)
 
 
-def annuity_1d(tau, y0, rate):
-    """Risky annuity int_0^tau e^(-rate*s) Q(s) ds, closed form.
+def _legs_1d(tau, y0, rate, recovery):
+    """Default leg and risky annuity from one evaluation.
 
-    The textbook expression mixes e^(+y0 sqrt(2 rate)) with a far normal
-    tail; evaluated literally it overflows once y0 sqrt(2 rate) > ~700.
-    Both exponential-tilted terms are therefore folded into scaled
-    complementary error functions whose exponents are non-positive.
+    With T the first-passage time, s = P(T <= tau) and a = y0/sqrt(tau),
+    the default leg is (1-R) E[e^(-rate T); T <= tau] = (1-R)(t1 + t2).
+    The annuity is the riskless -expm1(-rate tau)/rate less the
+    discounted default loss (t1 + t2 - e^(-rate tau) s)/rate >= 0, whose
+    terms are all of the size of s, so no O(1/rate) numbers cancel.
+    Below the rate floor, decided per element, the loss is taken at zero
+    rate (relative error under rate * tau).
+
+    t1 and t2 fold e^(+y0 sqrt(2 rate)) and its far normal tail into
+    scaled complementary error functions with non-positive exponents;
+    the literal form overflows once y0 sqrt(2 rate) > ~700.
     """
     tau = np.asarray(tau, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    if np.any(np.asarray(y0) <= 0):
+    if np.any(y0 <= 0):
         raise ValueError("y0 must be positive")
     rate = float(rate)
     if rate < 0:
         raise ValueError("rate must be non-negative")
 
     a = y0 / np.sqrt(tau)
-    if rate * np.min(tau) < _RATE_FLOOR:
-        # zero-rate limit: int_0^tau (2N(y0/sqrt(s)) - 1) ds
-        out = (tau * (2.0 * norm_cdf(a) - 1.0)
-               + 2.0 * y0 * np.sqrt(tau) * norm_pdf(a)
-               + 2.0 * y0 * y0 * (norm_cdf(a) - 1.0))
-        return out if out.ndim else float(out)
-
     b = np.sqrt(2.0 * rate * tau)
-    q = 2.0 * norm_cdf(a) - 1.0
+    s = _sp.erfc(a / math.sqrt(2.0))
     # e^(y0 sqrt(2r)) N(-a-b) = 0.5 e^(-y0^2/2tau - r tau) erfcx((a+b)/sqrt2)
-    t1 = 0.5 * np.exp(-0.5 * y0 * y0 / tau - rate * tau) * _sp.erfcx(
+    t1 = 0.5 * np.exp(-0.5 * a * a - rate * tau) * _sp.erfcx(
         (a + b) / math.sqrt(2.0))
-    t2 = 0.5 * np.exp(-y0 * np.sqrt(2.0 * rate)) * _sp.erfc(
+    t2 = 0.5 * np.exp(-y0 * math.sqrt(2.0 * rate)) * _sp.erfc(
         (a - b) / math.sqrt(2.0))
-    out = (1.0 - np.exp(-rate * tau) * q - t1 - t2) / rate
-    return out if out.ndim else float(out)
+    paid = t1 + t2
+    x = rate * tau
+    small = x < _RATE_FLOOR
+    riskless = loss = 0.0
+    if not np.all(small):
+        riskless = -np.expm1(-x) / rate
+        loss = (paid - np.exp(-x) * s) / rate
+    if np.any(small):
+        # 1 - x/2 is -expm1(-x)/x to x^2/6, also where x underflows; the
+        # loss is int_0^tau (1 - Q(u)) du at zero rate
+        riskless = np.where(small, tau * (1.0 - 0.5 * x), riskless)
+        loss = np.where(small, (tau + y0 * y0) * s
+                        - 2.0 * y0 * np.sqrt(tau) * norm_pdf(a), loss)
+    d = (1.0 - recovery) * paid
+    ann = riskless - loss
+    if np.ndim(d) == 0:
+        return float(d), float(ann)
+    return d, ann
+
+
+def annuity_1d(tau, y0, rate):
+    """Risky annuity int_0^tau e^(-rate*s) Q(s) ds, closed form."""
+    return _legs_1d(tau, y0, rate, 0.0)[1]
 
 
 def default_leg_1d(tau, y0, rate, recovery):
-    """Protection leg value (1-R) E[e^(-rate * default time); default <= tau].
-
-    Follows from integrating the discounted default density by parts:
-    (1-R) (1 - e^(-rate tau) Q(tau) - rate * annuity).
-    """
-    q = survival_1d(tau, y0)
-    a = annuity_1d(tau, y0, rate)
-    out = (1.0 - recovery) * (1.0 - np.exp(-rate * np.asarray(tau, dtype=float)) * q
-                              - rate * a)
-    return out if np.ndim(out) else float(out)
+    """Protection leg value (1-R) E[e^(-rate * default time); default <= tau]."""
+    return _legs_1d(tau, y0, rate, recovery)[0]
 
 
 @dataclass(frozen=True)
@@ -134,8 +147,7 @@ def cds_value_1d(tau, y0, terms):
     value = default_leg - coupon * annuity. Positive when the running
     coupon undercompensates the default risk at this driver level.
     """
-    a = annuity_1d(tau, y0, terms.rate)
-    d = default_leg_1d(tau, y0, terms.rate, terms.recovery)
+    d, a = _legs_1d(tau, y0, terms.rate, terms.recovery)
     q = survival_1d(tau, y0)
     return Cds1dQuote(value=d - terms.coupon * a, annuity=a, default_leg=d,
                       survival=q)
@@ -147,13 +159,11 @@ def cds_values_1d(tau, y0, terms):
     Same payout as cds_value_1d but skipping the quote container; used in
     the exposure quadratures where the valuation runs over a grid.
     """
-    a = annuity_1d(tau, y0, terms.rate)
-    d = default_leg_1d(tau, y0, terms.rate, terms.recovery)
+    d, a = _legs_1d(tau, y0, terms.rate, terms.recovery)
     return d - terms.coupon * a
 
 
 def breakeven_coupon_1d(tau, y0, rate, recovery):
     """Coupon making the CDS worthless at inception: default_leg / annuity."""
-    a = annuity_1d(tau, y0, rate)
-    d = default_leg_1d(tau, y0, rate, recovery)
+    d, a = _legs_1d(tau, y0, rate, recovery)
     return d / a

@@ -341,15 +341,15 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
     y_s, y_b = (y[None, :, :]
                 for y in _face_distances(domain, fluxes, r_nodes))
     rate, recovery = terms.rate, terms.recovery
+    d_s, a_s = cds1d._legs_1d(tau_left, y_s, rate, recovery)
+    d_b, a_b = cds1d._legs_1d(tau_left, y_b, rate, recovery)
     return PricingGrid(
         domain=domain, source=source, maturity=terms.maturity, rate=rate,
         recovery=recovery, t_nodes=t_nodes, t_weights=t_w,
         r_nodes=r_nodes, r_weights=r_w,
         flux_seller=flux_s, flux_buyer=flux_b,
-        default_seller=cds1d.default_leg_1d(tau_left, y_s, rate, recovery),
-        annuity_seller=cds1d.annuity_1d(tau_left, y_s, rate),
-        default_buyer=cds1d.default_leg_1d(tau_left, y_b, rate, recovery),
-        annuity_buyer=cds1d.annuity_1d(tau_left, y_b, rate))
+        default_seller=d_s, annuity_seller=a_s,
+        default_buyer=d_b, annuity_buyer=a_b)
 
 
 def _leg(grid, terms, which, recovery):
@@ -429,9 +429,8 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
     adjusted value is off by at most the sum of their two error bounds.
     """
     # the closed-form value is linear in the coupon: V = D - coupon A
-    d0 = cds1d.default_leg_1d(terms.maturity, y0_reference, terms.rate,
-                              terms.recovery)
-    a0 = cds1d.annuity_1d(terms.maturity, y0_reference, terms.rate)
+    d0, a0 = cds1d._legs_1d(terms.maturity, y0_reference, terms.rate,
+                            terms.recovery)
     plain = d0 / a0
     if adjust == "none":
         return plain

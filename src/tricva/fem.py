@@ -3,19 +3,16 @@
 The angular operator separates in the chart (phi, theta): stiffness uses
 the metric weights 1/sin(theta) on phi-derivatives and sin(theta) on
 theta-derivatives, mass carries sin(theta). Dirichlet rows (all chart
-edges) are eliminated, the generalized problem is reduced by a Cholesky
-factor of the mass block, and the standard symmetric problem is solved
-in-repo: Householder tridiagonalization, implicit-shift QL for the
-spectrum, inverse iteration for the requested lowest eigenvectors. The
-returned basis is mass-orthonormal with each mode's surface integral
+edges) are eliminated and the lowest eigenpairs of the generalized
+problem K psi = lam2 M psi come from one LAPACK call, scipy.linalg.eigh.
+The returned basis is mass-orthonormal with each mode's surface integral
 made non-negative.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import eigh
 from scipy.spatial import Delaunay as _Delaunay
 
 from .domain3d import SurfaceMesh
@@ -93,174 +90,6 @@ def assemble(mesh, quadrature="centroid", weighted=True):
     return K[np.ix_(idx, idx)], M[np.ix_(idx, idx)]
 
 
-def _householder_tridiagonalize(C):
-    """Reduce a symmetric matrix to tridiagonal form in place.
-
-    Returns the diagonal, subdiagonal, and the reflector data (vectors
-    in the strict lower triangle of the work matrix plus scales) needed
-    to back-transform eigenvectors.
-    """
-    A = np.array(C, dtype=float, copy=True)
-    n = A.shape[0]
-    betas = np.zeros(n)
-    sub = np.zeros(n - 1)
-    for k in range(n - 2):
-        x = A[k + 1:, k]
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            sub[k] = 0.0
-            continue
-        alpha = -nx if x[0] >= 0 else nx
-        v = x.copy()
-        v[0] -= alpha
-        vv = float(v @ v)
-        if vv == 0.0:
-            sub[k] = alpha
-            continue
-        beta = 2.0 / vv
-        B = A[k + 1:, k + 1:]
-        p = beta * (B @ v)
-        p -= (0.5 * beta * float(p @ v)) * v
-        B -= np.outer(p, v) + np.outer(v, p)
-        sub[k] = alpha
-        A[k + 1:, k] = v      # reflector stored where zeros belong
-        betas[k] = beta
-    if n >= 2:
-        sub[n - 2] = A[n - 1, n - 2]
-    return np.diag(A).copy(), sub, A, betas
-
-
-def _apply_reflectors(work, betas, V):
-    """Back-transform tridiagonal eigenvectors to the original frame."""
-    n = work.shape[0]
-    for k in range(n - 3, -1, -1):
-        if betas[k] == 0.0:
-            continue
-        v = work[k + 1:, k]
-        V[k + 1:, :] -= np.outer(v, betas[k] * (v @ V[k + 1:, :]))
-    return V
-
-
-def _ql_implicit_eigenvalues(d, e, max_sweeps=50):
-    """All eigenvalues of a symmetric tridiagonal matrix.
-
-    Implicit-shift QL with deflation; values only, ascending.
-    """
-    d = np.array(d, dtype=float, copy=True)
-    n = len(d)
-    ev = np.append(np.array(e, dtype=float, copy=True), 0.0)
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ev[m]) <= eps * dd + 1e-300:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ArithmeticError("QL sweep failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * ev[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ev[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * ev[i]
-                b = c * ev[i]
-                r = math.hypot(f, g)
-                ev[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ev[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                ev[l] = g
-                ev[m] = 0.0
-    d.sort()
-    return d
-
-
-def _tridiag_eigenvectors(d, e, lam, cluster_rtol=1e-6):
-    """Inverse iteration on the tridiagonal for the given eigenvalues.
-
-    Shifted solves from a fixed random start; vectors inside a
-    degenerate cluster are orthogonalized against each other, making
-    the basis there an arbitrary orthonormal one.
-    """
-    n = len(d)
-    k = len(lam)
-    rng = np.random.default_rng(0x5eed)
-    V = np.empty((n, k))
-    scale = max(abs(lam[0]), abs(lam[-1]), 1.0)
-    ab = np.zeros((3, n))
-    start = 0
-    while start < k:
-        stop = start + 1
-        while (stop < k
-               and lam[stop] - lam[stop - 1] <= cluster_rtol * abs(
-                   lam[stop]) + 1e-300):
-            stop += 1
-        for j in range(start, stop):
-            # spread shifts inside the cluster so solves separate
-            mu = lam[j] + (j - start) * 1e-12 * scale
-            ab[0, 1:] = e
-            ab[1, :] = d - mu
-            ab[2, :-1] = e
-            x = rng.standard_normal(n)
-            for _ in range(3):
-                for v in V[:, start:j].T:
-                    x -= (v @ x) * v
-                try:
-                    x = solve_banded((1, 1), ab, x)
-                except np.linalg.LinAlgError:
-                    ab[1, :] += 1e-10 * scale
-                    x = solve_banded((1, 1), ab, x)
-                x /= math.sqrt(float(x @ x))
-            for v in V[:, start:j].T:
-                x -= (v @ x) * v
-            x /= math.sqrt(float(x @ x))
-            V[:, j] = x
-        start = stop
-    return V
-
-
-def symmetric_eig_lowest(C, k):
-    """k smallest eigenpairs of a dense symmetric matrix.
-
-    Householder tridiagonalization, implicit-shift QL for the full
-    spectrum, inverse iteration for the requested eigenvectors.
-    """
-    n = C.shape[0]
-    if k > n:
-        raise ValueError("more eigenpairs requested than the dimension")
-    if n == 1:
-        return np.array([C[0, 0]]), np.ones((1, 1))
-    d, e, work, betas = _householder_tridiagonalize(C)
-    lam_all = _ql_implicit_eigenvalues(d, e)
-    lam = lam_all[:k]
-    V = _tridiag_eigenvectors(d, e, lam)
-    V = _apply_reflectors(work, betas, V)
-    # guard against drift across near-degenerate pairs
-    for j in range(V.shape[1]):
-        for i in range(j):
-            V[:, j] -= (V[:, i] @ V[:, j]) * V[:, i]
-        V[:, j] /= math.sqrt(float(V[:, j] @ V[:, j]))
-    return lam, V
-
-
 @dataclass
 class EigenBasis:
     """Discrete eigenpairs of the surface operator.
@@ -302,15 +131,10 @@ def solve_eig(K, M, mesh, n_modes=50, quadrature="centroid"):
     if K.shape != (len(idx), len(idx)):
         raise ValueError("matrices do not match the mesh free vertices")
     try:
-        L = np.linalg.cholesky(M)
+        lam2, psi_in = eigh(K, M, subset_by_index=[0, n_modes - 1])
     except np.linalg.LinAlgError as err:
         raise ValueError("mass matrix not positive definite; broken "
                          "mesh") from err
-    Y = solve_triangular(L, K, lower=True)
-    C = solve_triangular(L, Y.T, lower=True)
-    C = 0.5 * (C + C.T)
-    lam2, E = symmetric_eig_lowest(C, n_modes)
-    psi_in = solve_triangular(L.T, E, lower=False)
 
     Kf, Mf = _assemble_full(mesh, quadrature)
     n = len(mesh.vertices)

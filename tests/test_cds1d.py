@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricva import cds1d
@@ -91,10 +91,29 @@ def test_annuity_zero_rate_continuity():
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0.25, 10.0), st.floats(0.1, 5.0), st.floats(0.0, 0.1))
+@example(tau=0.25, y0=3.0, rate=1e-6)
+@example(tau=0.25, y0=5.0, rate=5e-9)
+@example(tau=0.3, y0=5.0, rate=7e-11)
 def test_annuity_bounded_by_riskless(tau, y0, rate):
+    # safe names just above the rate floor: the annuity must not exceed
+    # the riskless one through cancellation in either expression
     a = cds1d.annuity_1d(tau, y0, rate)
-    riskless = tau if rate < 1e-12 else (1.0 - math.exp(-rate * tau)) / rate
+    riskless = tau if rate < 1e-12 else -math.expm1(-rate * tau) / rate
     assert 0.0 < a <= riskless + 1e-12
+
+
+def test_mixed_tenors_match_scalar_calls():
+    # the zero-rate branch is chosen per element: a short tenor must not
+    # strip the discounting from the others
+    taus = np.array([1e-7, 0.5, 5.0])
+    ann = cds1d.annuity_1d(taus, 2.9, 0.02)
+    leg = cds1d.default_leg_1d(taus, 2.9, 0.02, 0.4)
+    for tau, a, d in zip(taus, ann, leg):
+        assert a == pytest.approx(cds1d.annuity_1d(tau, 2.9, 0.02), rel=1e-14)
+        assert d == pytest.approx(cds1d.default_leg_1d(tau, 2.9, 0.02, 0.4),
+                                  rel=1e-14, abs=1e-300)
+    assert abs(ann[2] - 4.4062303779164161) < 1e-12
+    assert abs(leg[2] - 0.10990358472363729) < 1e-12
 
 
 def test_default_leg_reference():
@@ -125,6 +144,15 @@ def test_value_zero_at_breakeven():
     assert quote.annuity > 0 and quote.default_leg > 0
     # terms container is not mutated by pricing
     assert terms.coupon == 0.0
+
+
+def test_values_are_default_leg_less_coupon_annuity():
+    tau = np.array([[0.1], [1.0], [5.0]])
+    y0 = np.array([0.3, 1.0, 2.9, 6.0])
+    terms = CdsTerms(maturity=5.0, coupon=0.03, rate=0.02, recovery=0.4)
+    want = (cds1d.default_leg_1d(tau, y0, 0.02, 0.4)
+            - 0.03 * cds1d.annuity_1d(tau, y0, 0.02))
+    assert np.array_equal(cds1d.cds_values_1d(tau, y0, terms), want)
 
 
 def test_value_decreases_in_distance():
