@@ -78,7 +78,10 @@ def _legs_1d(tau, y0, rate, recovery):
     discounted default loss (t1 + t2 - e^(-rate tau) s)/rate >= 0, whose
     terms are all of the size of s, so no O(1/rate) numbers cancel.
     Below the rate floor, decided per element, the loss is taken at zero
-    rate (relative error under rate * tau).
+    rate. Dropping its discounting errs by under rate tau^2 / 2, so by
+    rate tau^2 / (2 A) relative to the annuity A; for a name near
+    default that is far above rate tau (8.8e-8 against 9e-9 at tau = 10,
+    y0 = 0.1, rate 9e-10).
 
     t1 and t2 fold e^(+y0 sqrt(2 rate)) and its far normal tail into
     scaled complementary error functions with non-positive exponents;

@@ -8,7 +8,8 @@ integrals: the seller's chart face (phi = 0) feeds the CVA leg, the
 buyer's curved face (theta = Theta(phi)) the DVA leg. Fluxes are taken
 variationally, pairing each mode's residual (K - Lambda^2 M) psi with
 the boundary hat functions, which keeps them exactly consistent with
-the discrete basis and needs no off-mesh differentiation.
+the discrete basis and needs no off-mesh differentiation; the basis
+stores those boundary rows, formed once when it is built.
 """
 
 import math
@@ -20,8 +21,8 @@ from scipy.optimize import brentq
 
 from . import cds1d
 from .cds2d import cva_2d, survival_2d, to_wedge
-from .domain3d import correlate, decorrelate, theta_max_at
-from .fem import eval_basis, eval_basis_gradient
+from .domain3d import correlate, decorrelate
+from .fem import eval_basis
 from .specfun import bessel_i_scaled, gauss_legendre, ln_gamma, ln_hyp1f1_neg
 
 # The truncated flux series rings before the driver can plausibly have
@@ -187,66 +188,10 @@ class FaceFluxes:
     reference_coeff: np.ndarray   # (kr, n_modes)
 
 
-@dataclass(frozen=True)
-class NormalDerivatives:
-    """Inward angular derivatives of every mode along one chart face."""
-    phi: np.ndarray
-    theta: np.ndarray
-    values: np.ndarray    # (n_points, n_modes)
-
-
-def boundary_normal_derivatives(basis, face, points=None):
-    """Sampled normal derivatives of the modes on a chart face.
-
-    face is one of phi0_face (seller, inward +phi), varpi_face
-    (reference, inward -phi) or theta_face (buyer curve, inward
-    -theta). Defaults to sampling at the face's own mesh vertices,
-    taking each derivative from the adjacent triangle's constant
-    gradient; pass chart points to sample elsewhere, e.g. for matched
-    cross-mesh comparisons. Pricing itself uses the variational fluxes
-    below, which converge faster; this sampler exposes the raw field.
-    """
-    if face not in ("phi0_face", "varpi_face", "theta_face"):
-        raise ValueError("unknown face %r" % (face,))
-    if points is None:
-        mesh = basis.mesh
-        idx = np.nonzero(mesh.boundary_mask)[0]
-        phi = mesh.vertices[idx, 0]
-        theta = mesh.vertices[idx, 1]
-        tol = 1e-7
-        on_s = phi < tol
-        on_r = phi > phi.max() - tol
-        on_floor = theta < theta.min() + tol
-        if face == "phi0_face":
-            pick = on_s
-        elif face == "varpi_face":
-            pick = on_r
-        else:
-            pick = ~(on_s | on_r | on_floor)
-        phi, theta = phi[pick], theta[pick]
-        order = np.argsort(phi if face == "theta_face" else theta)
-        phi, theta = phi[order], theta[order]
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phi, theta = pts[:, 0], pts[:, 1]
-    grads = eval_basis_gradient(basis, phi, theta)
-    if face == "phi0_face":
-        vals = grads[:, :, 0]
-    elif face == "varpi_face":
-        vals = -grads[:, :, 0]
-    else:
-        vals = -grads[:, :, 1]
-    return NormalDerivatives(phi=phi, theta=theta, values=vals)
-
-
 def _variational_face_fluxes(basis, domain):
-    """Group the residual fluxes of every mode by boundary face."""
-    mesh = basis.mesh
-    resid = (basis.stiffness @ basis.psi
-             - basis.mass @ basis.psi * basis.lam2)
-    idx = np.nonzero(mesh.boundary_mask)[0]
-    phi = mesh.vertices[idx, 0]
-    theta = mesh.vertices[idx, 1]
+    """Group the stored boundary residuals of every mode by face."""
+    resid = basis.boundary_residual
+    phi, theta = basis.mesh.vertices[basis.mesh.boundary_mask].T
     tol = 1e-7
     on_seller = phi < tol
     on_reference = phi > domain.varpi - tol
@@ -258,12 +203,12 @@ def _variational_face_fluxes(basis, domain):
     order_r = np.argsort(theta[on_reference])
     return FaceFluxes(
         seller_theta=theta[on_seller][order_s],
-        seller_coeff=resid[idx[on_seller]][order_s],
+        seller_coeff=resid[on_seller][order_s],
         buyer_phi=phi[on_buyer][order_b],
         buyer_theta=theta[on_buyer][order_b],
-        buyer_coeff=resid[idx[on_buyer]][order_b],
+        buyer_coeff=resid[on_buyer][order_b],
         reference_theta=theta[on_reference][order_r],
-        reference_coeff=resid[idx[on_reference]][order_r])
+        reference_coeff=resid[on_reference][order_r])
 
 
 @dataclass(frozen=True)
@@ -315,11 +260,10 @@ def _face_distances(domain, fluxes, r_nodes):
 
 
 def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
-                    n_terms=None, fluxes=None):
+                    n_terms=None):
     """Assemble the time/radius grids, per-face flux tensors and 1D legs."""
     n_terms = basis.n_modes if n_terms is None else n_terms
-    if fluxes is None:
-        fluxes = _variational_face_fluxes(basis, domain)
+    fluxes = _variational_face_fluxes(basis, domain)
     t_nodes, t_w = gauss_legendre(n_time, 0.0, terms.maturity)
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)

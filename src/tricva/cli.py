@@ -29,6 +29,10 @@ log = logging.getLogger("tricva")
 
 OK, FAIL_VALIDATION, FAIL_CONFIG, FAIL_NUMERIC = 0, 1, 2, 3
 
+# npz cache layout, part of the cache key: bump it whenever the stored
+# arrays change
+_CACHE_LAYOUT = 2
+
 # Table-1 style inputs: initial value is the log distance ln(a0/l0),
 # converted to driver units by each firm's volatility.
 _DEFAULTS = {
@@ -186,8 +190,13 @@ def config_hash(cfg):
 
 
 def cache_key(cfg):
-    """Identity of the eigenbasis inputs: geometry, mesh, quadrature."""
-    sub = {"rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"],
+    """Identity of the eigenbasis inputs: geometry, mesh, quadrature.
+
+    layout numbers the npz contents, so entries of an older layout are
+    never read.
+    """
+    sub = {"layout": _CACHE_LAYOUT,
+           "rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"],
            "seed": cfg.mesh["seed"], "max_iter": cfg.mesh["max_iter"],
            "size_fn": cfg.mesh["size_fn"],
            "quadrature": cfg.quadrature["rule"]}
@@ -202,7 +211,7 @@ def _basis_from_npz(data):
     return fem.EigenBasis(mesh=mesh, lam2=data["lam2"], psi=data["psi"],
                           s_n=data["s_n"],
                           quadrature=str(data["quadrature"]),
-                          stiffness=data["stiffness"], mass=data["mass"])
+                          boundary_residual=data["boundary_residual"])
 
 
 def ensure_basis(cfg, cache_dir):
@@ -229,7 +238,7 @@ def ensure_basis(cfg, cache_dir):
                         boundary_mask=mesh.boundary_mask, h0=mesh.h0,
                         lam2=basis.lam2, psi=basis.psi, s_n=basis.s_n,
                         quadrature=basis.quadrature,
-                        stiffness=basis.stiffness, mass=basis.mass,
+                        boundary_residual=basis.boundary_residual,
                         n_modes=basis.n_modes)
     log.info("cached eigenbasis %s (%d modes)", key, basis.n_modes)
     return spec, basis, key

@@ -2,17 +2,21 @@
 
 The angular operator separates in the chart (phi, theta): stiffness uses
 the metric weights 1/sin(theta) on phi-derivatives and sin(theta) on
-theta-derivatives, mass carries sin(theta). Dirichlet rows (all chart
-edges) are eliminated and the lowest eigenpairs of the generalized
-problem K psi = lam2 M psi come from one LAPACK call, scipy.linalg.eigh.
-The returned basis is mass-orthonormal with each mode's surface integral
-made non-negative.
+theta-derivatives, mass carries sin(theta). K and M are assembled once,
+sparse, over all vertices. Dirichlet rows (all chart edges) are
+eliminated and the lowest eigenpairs of the generalized problem
+K psi = lam2 M psi come from one LAPACK call, scipy.linalg.eigh, on the
+dense free block. The returned basis is mass-orthonormal with each
+mode's surface integral made non-negative, and keeps of K and M only
+the boundary rows of each mode's residual (K - lam2 M) psi, the face
+fluxes that pricing reads.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import coo_array
 from scipy.spatial import Delaunay as _Delaunay
 
 from .domain3d import SurfaceMesh
@@ -37,16 +41,15 @@ def _triangle_geometry(mesh):
     return p1, p2, p3, 0.5 * np.abs(a2), gphi, gth
 
 
-def _assemble_full(mesh, quadrature="centroid", weighted=True):
-    """K and M over all vertices, boundary rows included."""
+def _assemble_full(mesh, quadrature="centroid"):
+    """Sparse (CSR) K and M over all vertices, boundary rows included."""
     if quadrature not in ("centroid", "midedge"):
         raise ValueError("quadrature must be 'centroid' or 'midedge'")
     p1, p2, p3, area, gphi, gth = _triangle_geometry(mesh)
     theta = np.stack([p1[:, 1], p2[:, 1], p3[:, 1]], axis=1)
 
     if quadrature == "centroid":
-        s = np.sin(theta.mean(axis=1)) if weighted \
-            else np.ones(len(theta))
+        s = np.sin(theta.mean(axis=1))
         ke = area[:, None, None] * (
             gphi[:, :, None] * gphi[:, None, :] / s[:, None, None]
             + gth[:, :, None] * gth[:, None, :] * s[:, None, None])
@@ -55,7 +58,7 @@ def _assemble_full(mesh, quadrature="centroid", weighted=True):
         mid = 0.5 * np.stack([theta[:, 0] + theta[:, 1],
                               theta[:, 1] + theta[:, 2],
                               theta[:, 2] + theta[:, 0]], axis=1)
-        sq = np.sin(mid) if weighted else np.ones_like(mid)
+        sq = np.sin(mid)
         hats = np.array([[0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5],
                          [0.5, 0.0, 0.5]])
@@ -67,27 +70,28 @@ def _assemble_full(mesh, quadrature="centroid", weighted=True):
         me = area[:, None, None] / 3.0 * np.einsum(
             "tq,qi,qj->tij", sq, hats, hats)
 
+    # element entry (t, i, j) lands on (tri[t, i], tri[t, j]); the CSR
+    # conversion sums the duplicates
     n = len(mesh.vertices)
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
     t = mesh.triangles
-    for i in range(3):
-        for j in range(3):
-            np.add.at(K, (t[:, i], t[:, j]), ke[:, i, j])
-            np.add.at(M, (t[:, i], t[:, j]), me[:, i, j])
-    return K, M
+    ij = (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())
+    return (coo_array((ke.ravel(), ij), shape=(n, n)).tocsr(),
+            coo_array((me.ravel(), ij), shape=(n, n)).tocsr())
 
 
-def assemble(mesh, quadrature="centroid", weighted=True):
-    """Stiffness and mass over the free (interior) vertices.
-
-    Dirichlet rows and columns are eliminated. The weighted flag exists
-    for tests: False replaces the sin(theta) metric by 1, turning K into
-    the plain flat-triangle P1 form.
-    """
-    K, M = _assemble_full(mesh, quadrature, weighted)
+def _free_block(A, mesh):
+    """Dense rows and columns of the free (interior) vertices."""
     idx = np.nonzero(~mesh.boundary_mask)[0]
-    return K[np.ix_(idx, idx)], M[np.ix_(idx, idx)]
+    return A[np.ix_(idx, idx)].toarray()
+
+
+def assemble(mesh, quadrature="centroid"):
+    """Dense stiffness and mass over the free (interior) vertices.
+
+    Dirichlet rows and columns are eliminated.
+    """
+    K, M = _assemble_full(mesh, quadrature)
+    return _free_block(K, mesh), _free_block(M, mesh)
 
 
 @dataclass
@@ -97,16 +101,16 @@ class EigenBasis:
     psi holds vertex values of each mode (zero on the boundary), columns
     mass-orthonormal. s_n is the surface integral of each mode, used as
     the source weight in survival expansions; signs are fixed so it is
-    non-negative. stiffness and mass keep the full (all-vertex) forms so
-    boundary fluxes can be recovered variationally.
+    non-negative. boundary_residual holds each mode's residual
+    (K - lam2 M) psi on the boundary vertices, in mesh order, from which
+    the face fluxes are taken variationally.
     """
     mesh: SurfaceMesh
     lam2: np.ndarray       # (k,) ascending
     psi: np.ndarray        # (n_vertices, k)
     s_n: np.ndarray        # (k,)
     quadrature: str
-    stiffness: np.ndarray = field(repr=False, default=None)
-    mass: np.ndarray = field(repr=False, default=None)
+    boundary_residual: np.ndarray = field(repr=False)  # (n_boundary, k)
     _locator: object = field(repr=False, default=None, compare=False)
 
     @property
@@ -122,25 +126,26 @@ class EigenBasis:
 def solve_eig(K, M, mesh, n_modes=50, quadrature="centroid"):
     """Lowest generalized eigenpairs with Dirichlet chart edges.
 
-    K and M are the free-vertex matrices from assemble (same quadrature
-    setting); the mesh supplies the boundary layout for the caches.
+    K and M are the all-vertex sparse matrices from _assemble_full (same
+    quadrature setting); their free block is solved densely and their
+    boundary rows give the stored residuals.
     """
+    n = len(mesh.vertices)
     idx = np.nonzero(~mesh.boundary_mask)[0]
     if n_modes > len(idx):
         raise ValueError("mesh too coarse for %d modes" % n_modes)
-    if K.shape != (len(idx), len(idx)):
-        raise ValueError("matrices do not match the mesh free vertices")
+    if K.shape != (n, n) or M.shape != (n, n):
+        raise ValueError("matrices do not match the mesh vertices")
     try:
-        lam2, psi_in = eigh(K, M, subset_by_index=[0, n_modes - 1])
+        lam2, psi_in = eigh(_free_block(K, mesh), _free_block(M, mesh),
+                            subset_by_index=[0, n_modes - 1])
     except np.linalg.LinAlgError as err:
         raise ValueError("mass matrix not positive definite; broken "
                          "mesh") from err
 
-    Kf, Mf = _assemble_full(mesh, quadrature)
-    n = len(mesh.vertices)
     psi = np.zeros((n, n_modes))
     psi[idx] = psi_in
-    s_n = (Mf @ psi).sum(axis=0)
+    s_n = (M @ psi).sum(axis=0)
     flip = s_n < 0
     # ambiguous when a mode has zero net mass; anchor on its first
     # nonvanishing vertex value instead
@@ -151,13 +156,15 @@ def solve_eig(K, M, mesh, n_modes=50, quadrature="centroid"):
     psi[:, flip] *= -1.0
     s_n[flip] *= -1.0
     s_n[tiny] = np.abs(s_n[tiny])
+    bnd = np.nonzero(mesh.boundary_mask)[0]
+    residual = K[bnd] @ psi - (M[bnd] @ psi) * lam2
     return EigenBasis(mesh=mesh, lam2=lam2, psi=psi, s_n=s_n,
-                      quadrature=quadrature, stiffness=Kf, mass=Mf)
+                      quadrature=quadrature, boundary_residual=residual)
 
 
 def build_basis(mesh, n_modes=50, quadrature="centroid"):
-    """Assemble and solve in one step."""
-    K, M = assemble(mesh, quadrature)
+    """Assemble once and solve."""
+    K, M = _assemble_full(mesh, quadrature)
     return solve_eig(K, M, mesh, n_modes=n_modes, quadrature=quadrature)
 
 
@@ -180,12 +187,11 @@ class _Locator:
             s[miss] = s2
         if np.any(s < 0):
             raise ValueError("query point outside the chart hull")
-        verts = self.tri.simplices[s]
         T = self.tri.transform[s]
         b = np.einsum("nij,nj->ni", T[:, :2, :],
                       pts - T[:, 2, :])
         bary = np.column_stack([b, 1.0 - b.sum(axis=1)])
-        return verts, bary, T
+        return self.tri.simplices[s], bary
 
 
 def _locator(basis):
@@ -197,19 +203,6 @@ def _locator(basis):
 def eval_basis(basis, phi, theta):
     """Mode values at chart points; (npts, n_modes)."""
     pts = np.column_stack([np.ravel(phi), np.ravel(theta)])
-    verts, bary, _ = _locator(basis).locate(pts)
+    verts, bary = _locator(basis).locate(pts)
     return np.einsum("nj,njk->nk", bary, basis.psi[verts])
 
-
-def eval_basis_gradient(basis, phi, theta):
-    """Chart-coordinate mode gradients at points; (npts, n_modes, 2).
-
-    Piecewise constant per triangle: last axis is (d/dphi, d/dtheta).
-    """
-    pts = np.column_stack([np.ravel(phi), np.ravel(theta)])
-    verts, _, T = _locator(basis).locate(pts)
-    gb = np.empty((len(pts), 3, 2))
-    gb[:, 0, :] = T[:, 0, :]
-    gb[:, 1, :] = T[:, 1, :]
-    gb[:, 2, :] = -T[:, 0, :] - T[:, 1, :]
-    return np.einsum("njd,njk->nkd", gb, basis.psi[verts])

@@ -9,7 +9,6 @@ All functions accept floats; the wrappers also broadcast over numpy arrays.
 
 import functools
 import math
-import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -127,21 +126,6 @@ def ln_hyp1f1_neg(a, b, w):
     return ln_s - w
 
 
-def hyp1f1(a, b, x):
-    """Confluent hypergeometric function 1F1(a; b; x).
-
-    Supports the parameter ranges the pricing code needs: b > a > 0 with x
-    real. Negative x is the hot path (survival series); positive x is summed
-    directly.
-    """
-    if b <= a or a <= 0:
-        raise ValueError("requires 0 < a < b")
-    if x >= 0:
-        ln_s, _ = _kummer_series(a, b, x)
-        return math.exp(ln_s)
-    return math.exp(ln_hyp1f1_neg(a, b, -x))
-
-
 @functools.lru_cache(maxsize=64)
 def _leggauss_cached(n):
     return leggauss(n)
@@ -158,9 +142,3 @@ def gauss_legendre(n, a, b):
     x, w = _leggauss_cached(int(n))
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
-
-
-def series_tail_warning(name, bound):
-    """Emit a uniform warning when a truncated series tail exceeds bound."""
-    warnings.warn(f"{name}: truncation tail estimate {bound:.2e} above target",
-                  RuntimeWarning, stacklevel=3)

@@ -80,6 +80,19 @@ class TestEig:
         assert "skipping assembly" in caplog.text
         assert (tmp_path / "out" / "eig.csv").read_bytes() == first
 
+    def test_cache_holds_boundary_rows_not_matrices(self, tmp_path):
+        cfgp = _write_config(tmp_path / "c.json",
+                             mesh={"n_points": 250},
+                             series={"n_terms": 12})
+        assert _run(tmp_path, "eig", cfgp) == cli.OK
+        (path,) = (tmp_path / "cache").glob("eig-*.npz")
+        with np.load(path) as data:
+            n = len(data["vertices"])
+            n_boundary = int(data["boundary_mask"].sum())
+            shapes = {name: data[name].shape for name in data.files}
+        assert (n, n) not in shapes.values()
+        assert shapes["boundary_residual"] == (n_boundary, 12)
+
     def test_octant_ground_eigenvalue_near_twelve(self, tmp_path):
         cfgp = _write_config(tmp_path / "c.json",
                              mesh={"n_points": 700},

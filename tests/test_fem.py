@@ -53,20 +53,22 @@ class TestOctantSpectrum:
         exact = (np.sin(theta) ** 2 * np.cos(theta) * np.sin(2 * phi)
                  / np.sqrt(2 * np.pi / 105.0))
         diff = basis.psi[:, 0] - exact
-        err = np.sqrt(diff @ basis.mass @ diff)
+        _, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        err = np.sqrt(diff @ M @ diff)
         assert err < 0.03
 
 
 class TestBasisProperties:
     def test_mass_orthonormal(self, octant_small):
         _, _, basis = octant_small
-        gram = basis.psi.T @ basis.mass @ basis.psi
+        _, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        gram = basis.psi.T @ M @ basis.psi
         assert np.abs(gram - np.eye(basis.n_modes)).max() < 1e-10
 
     def test_interior_rows_solve_the_problem(self, octant_small):
         _, mesh, basis = octant_small
-        resid = (basis.stiffness @ basis.psi
-                 - basis.mass @ basis.psi * basis.lam2)
+        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        resid = K @ basis.psi - M @ basis.psi * basis.lam2
         inner = ~mesh.boundary_mask
         scale = np.abs(resid[mesh.boundary_mask]).max()
         assert np.abs(resid[inner]).max() < 1e-9 * scale
@@ -88,6 +90,27 @@ class TestBasisProperties:
         assert basis.nu == pytest.approx(np.sqrt(basis.lam2 + 0.25),
                                          rel=1e-15)
 
+    def test_stored_rows_are_boundary_residuals(self, octant_small):
+        _, mesh, basis = octant_small
+        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        resid = K @ basis.psi - M @ basis.psi * basis.lam2
+        want = resid[mesh.boundary_mask]
+        assert basis.boundary_residual.shape == want.shape
+        scale = np.abs(want).max()
+        assert np.abs(basis.boundary_residual - want).max() < 1e-12 * scale
+
+    def test_one_assembly_per_basis(self, tiny_mesh, monkeypatch):
+        full = fem._assemble_full
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "_assemble_full", counted)
+        fem.build_basis(tiny_mesh, n_modes=4)
+        assert len(calls) == 1
+
     def test_rejects_too_many_modes(self, tiny_mesh):
         with pytest.raises(ValueError):
             fem.build_basis(tiny_mesh, n_modes=10_000)
@@ -98,7 +121,8 @@ class TestBasisProperties:
         b1 = fem.build_basis(tiny_mesh, n_modes=8, quadrature="centroid")
         b2 = fem.build_basis(tiny_mesh, n_modes=8, quadrature="midedge")
         assert b2.lam2[:4] == pytest.approx(b1.lam2[:4], rel=0.05)
-        gram = b2.psi.T @ b2.mass @ b2.psi
+        _, M = fem._assemble_full(b2.mesh, b2.quadrature)
+        gram = b2.psi.T @ M @ b2.psi
         assert np.abs(gram - np.eye(8)).max() < 1e-10
 
     def test_rejects_unknown_quadrature(self, tiny_mesh):
@@ -106,7 +130,7 @@ class TestBasisProperties:
             fem.assemble(tiny_mesh, quadrature="gauss7")
 
     def test_mismatched_matrices_rejected(self, tiny_mesh):
-        K, M = fem.assemble(tiny_mesh)
+        K, M = fem._assemble_full(tiny_mesh)
         with pytest.raises(ValueError):
             fem.solve_eig(K[:-1, :-1], M[:-1, :-1], tiny_mesh, n_modes=4)
 
@@ -121,15 +145,17 @@ class TestAssembly:
         assert np.abs(M - M.T).max() < 1e-12
 
     def test_reference_triangle_flat_metric(self):
-        # unit right triangle, metric weight switched off: the P1
-        # stiffness and one-point mass have textbook closed forms
+        # unit right triangle with its centroid on the equator, where the
+        # metric weight sin(theta) is 1: the P1 stiffness and one-point
+        # mass have textbook closed forms
+        th0 = np.pi / 2 - 1.0 / 3.0
         mesh = domain3d.SurfaceMesh(
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            vertices=np.array([[0.0, th0], [1.0, th0], [0.0, th0 + 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             boundary_mask=np.zeros(3, dtype=bool),
             h0=1.0,
         )
-        K, M = fem.assemble(mesh, weighted=False)
+        K, M = fem.assemble(mesh)
         k_ref = 0.5 * np.array([[2.0, -1.0, -1.0],
                                 [-1.0, 1.0, 0.0],
                                 [-1.0, 0.0, 1.0]])
@@ -151,15 +177,17 @@ class TestSymmetricSolver:
     def test_generalized_problem_matches_lapack(self, tiny_mesh):
         import scipy.linalg as sla
 
-        K, M = fem.assemble(tiny_mesh)
-        ref = sla.eigh(K, M, eigvals_only=True)[:8]
+        ref = sla.eigh(*fem.assemble(tiny_mesh), eigvals_only=True)[:8]
+        K, M = fem._assemble_full(tiny_mesh)
         basis = fem.solve_eig(K, M, tiny_mesh, n_modes=8)
         assert basis.lam2 == pytest.approx(ref, rel=1e-9)
 
     def test_indefinite_mass_rejected(self, tiny_mesh):
-        K, M = fem.assemble(tiny_mesh)
+        K, M = fem._assemble_full(tiny_mesh)
         M = M.copy()
-        M[0, 0] = -M[0, 0]
+        # a free vertex: boundary rows do not enter the eigenproblem
+        i = np.nonzero(~tiny_mesh.boundary_mask)[0][0]
+        M[i, i] = -M[i, i]
         with pytest.raises(ValueError, match="not positive definite"):
             fem.solve_eig(K, M, tiny_mesh, n_modes=4)
 
@@ -201,10 +229,10 @@ class TestAgainstJacobiRotations:
     def test_generalized_eigenvalues_match(self, tiny_mesh):
         mesh = tiny_mesh
         basis = fem.build_basis(mesh, n_modes=8)
-        K, M = basis.stiffness, basis.mass
+        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
         idx = np.nonzero(~mesh.boundary_mask)[0]
-        Kii = K[np.ix_(idx, idx)]
-        Mii = M[np.ix_(idx, idx)]
+        Kii = K[np.ix_(idx, idx)].toarray()
+        Mii = M[np.ix_(idx, idx)].toarray()
         dm, Vm = _jacobi_eigh(Mii)
         assert dm.min() > 0.0
         half = Vm @ np.diag(dm ** -0.5) @ Vm.T
@@ -229,19 +257,6 @@ class TestPointEvaluation:
         p = w @ corners
         val = fem.eval_basis(basis, p[0], p[1])[0]
         assert val == pytest.approx(w @ basis.psi[tri], abs=1e-11)
-
-    def test_gradient_matches_finite_differences(self, octant_small):
-        _, mesh, basis = octant_small
-        cent = mesh.vertices[mesh.triangles[100]].mean(axis=0)
-        g = fem.eval_basis_gradient(basis, cent[0], cent[1])[0]
-        eps = 1e-7
-        for axis in range(2):
-            dp = np.zeros(2)
-            dp[axis] = eps
-            up = fem.eval_basis(basis, *(cent + dp))[0]
-            dn = fem.eval_basis(basis, *(cent - dp))[0]
-            fd = (up - dn) / (2 * eps)
-            assert g[:, axis] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
     def test_outside_point_raises(self, octant_small):
         _, _, basis = octant_small
