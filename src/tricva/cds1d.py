@@ -19,9 +19,12 @@ from scipy import special as _sp
 
 from .specfun import gauss_legendre, norm_cdf, norm_pdf
 
-# Below this rate * tau, the annuity's discounted default loss divides a
-# vanishing difference by the rate; the zero-rate loss is used instead.
-_RATE_FLOOR = 1e-8
+# Below this rate * tau the annuity's closed form divides a vanishing
+# difference by the rate; its moment series in rate * tau is used
+# instead, with enough terms that the first one dropped,
+# (rate tau)^6 / 7!, is below 2e-22 of the sum.
+_SERIES_RATE_TAU = 1e-3
+_SERIES_TERMS = 6
 
 
 def green_1d_images(tau, y0, y):
@@ -69,6 +72,33 @@ def survival_1d(tau, y0):
     return out if out.ndim else float(out)
 
 
+def _annuity_series(tau, a, x, s):
+    """Risky annuity from its moment series in x = rate tau.
+
+    The annuity is tau sum_k (-x)^k / (k+1)! (q + g_(k+1)), with
+    q = erf(a / sqrt2) the survival probability and
+    g_m = E[(T/tau)^m; T <= tau] = c^m Gamma(1/2 - m, c) / sqrt(pi),
+    c = a^2 / 2, the first-passage moments. Integrating
+    int_0^tau u^k P(T <= u) du by parts gives them; the incomplete
+    gamma recurrence g_m = (a phi(a) - c g_(m-1)) / (m - 1/2) from
+    g_0 = s = erfc(a / sqrt2) yields them in turn. Every term is
+    non-negative before its (-x)^k, so the sum does not cancel; the
+    recurrence loses digits only for names far from default, where
+    g <= erfc(a / sqrt2) is negligible next to q.
+    """
+    c = 0.5 * a * a
+    q = _sp.erf(a / math.sqrt(2.0))
+    edge = a * norm_pdf(a)
+    g = s
+    coef = 1.0
+    total = 0.0
+    for k in range(_SERIES_TERMS):
+        g = (edge - c * g) / (k + 0.5)
+        total = total + coef * (q + g)
+        coef = coef * (-x / (k + 2))
+    return tau * total
+
+
 def _legs_1d(tau, y0, rate, recovery):
     """Default leg and risky annuity from one evaluation.
 
@@ -76,12 +106,15 @@ def _legs_1d(tau, y0, rate, recovery):
     the default leg is (1-R) E[e^(-rate T); T <= tau] = (1-R)(t1 + t2).
     The annuity is the riskless -expm1(-rate tau)/rate less the
     discounted default loss (t1 + t2 - e^(-rate tau) s)/rate >= 0, whose
-    terms are all of the size of s, so no O(1/rate) numbers cancel.
-    Below the rate floor, decided per element, the loss is taken at zero
-    rate. Dropping its discounting errs by under rate tau^2 / 2, so by
-    rate tau^2 / (2 A) relative to the annuity A; for a name near
-    default that is far above rate tau (8.8e-8 against 9e-9 at tau = 10,
-    y0 = 0.1, rate 9e-10).
+    terms are all of the size of s, so no O(1/rate) numbers cancel; the
+    difference in the numerator still loses digits like eps/(rate tau).
+    Where rate tau < 1e-3, decided per element and zero rate included,
+    the annuity instead comes from its moment series in rate tau
+    (_annuity_series), evaluated on those elements only. Against
+    40-digit quadrature the series is within 2e-16 relative for names
+    near default (tau = 10, y0 = 0.1, rate 2e-9). Just above the cut
+    the closed form errs for such names by 7e-12 (tau = 10, y0 = 0.1)
+    to 8e-11 (tau = 30, y0 = 0.01) relative, falling like 1/(rate tau).
 
     t1 and t2 fold e^(+y0 sqrt(2 rate)) and its far normal tail into
     scaled complementary error functions with non-positive exponents;
@@ -107,19 +140,19 @@ def _legs_1d(tau, y0, rate, recovery):
         (a - b) / math.sqrt(2.0))
     paid = t1 + t2
     x = rate * tau
-    small = x < _RATE_FLOOR
-    riskless = loss = 0.0
-    if not np.all(small):
+    small = x < _SERIES_RATE_TAU
+    if np.all(small):
+        ann = _annuity_series(tau, a, x, s)
+    else:
         riskless = -np.expm1(-x) / rate
         loss = (paid - np.exp(-x) * s) / rate
-    if np.any(small):
-        # 1 - x/2 is -expm1(-x)/x to x^2/6, also where x underflows; the
-        # loss is int_0^tau (1 - Q(u)) du at zero rate
-        riskless = np.where(small, tau * (1.0 - 0.5 * x), riskless)
-        loss = np.where(small, (tau + y0 * y0) * s
-                        - 2.0 * y0 * np.sqrt(tau) * norm_pdf(a), loss)
+        ann = riskless - loss
+        if np.any(small):
+            at = np.nonzero(np.broadcast_to(small, a.shape))
+            ann[at] = _annuity_series(np.broadcast_to(tau, a.shape)[at],
+                                      a[at], np.broadcast_to(x, a.shape)[at],
+                                      s[at])
     d = (1.0 - recovery) * paid
-    ann = riskless - loss
     if np.ndim(d) == 0:
         return float(d), float(ann)
     return d, ann

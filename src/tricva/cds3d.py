@@ -110,20 +110,36 @@ def _radial_kernel(basis, tau, r, r0, n_terms):
 def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     """Transition density to (r, phi, theta), per unit driver volume.
 
-    All of r, phi, theta broadcast together; tau is scalar. The source
-    angular profile is the truncated eigenfunction expansion, so the
-    density is semi-analytical: exact in the radial part, spectral in
-    the angles.
+    All of r >= 0, phi, theta broadcast together; tau is a positive
+    scalar. The source angular profile is the truncated eigenfunction
+    expansion, so the density is semi-analytical: exact in the radial
+    part, spectral in the angles.
+
+    The radial Bessel kernel depends on r only and the mode values on
+    the angles only, so a call costs (distinct radii x modes) Bessel
+    values and locates each distinct (phi, theta) once: a lattice of
+    radii x angles costs what its radii and its angles cost apart.
     """
+    if np.ndim(tau) != 0:
+        raise ValueError("tau must be a positive scalar")
+    tau = float(tau)
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
     n_terms = basis.n_modes if n_terms is None else n_terms
     r, phi, theta = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(phi, float),
         np.asarray(theta, float))
+    if np.any(r < 0.0):
+        raise ValueError("r must be non-negative")
     shape = r.shape
-    rf = r.ravel()
-    modes = eval_basis(basis, phi.ravel(), theta.ravel())[:, :n_terms]
+    radii, r_at = np.unique(r.ravel(), return_inverse=True)
+    # phi + i theta sorts as the (phi, theta) pair does: the distinct
+    # angles of np.unique(axis=0), without its slow sort of row records
+    angles, a_at = np.unique(phi.ravel() + 1j * theta.ravel(),
+                             return_inverse=True)
+    modes = eval_basis(basis, angles.real, angles.imag)[a_at, :n_terms]
     psi0 = _source_weights(basis, source, n_terms)
-    rad = _radial_kernel(basis, tau, rf, source.r0, n_terms)[0]
+    rad = _radial_kernel(basis, tau, radii, source.r0, n_terms)[0][r_at]
     out = np.einsum("pn,n,pn->p", modes, psi0, rad)
     last = np.abs(modes[:, -1] * psi0[-1] * rad[:, -1])
     if np.any(last > 1e-10 * np.maximum(np.abs(out), 1e-300)):

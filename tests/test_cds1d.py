@@ -24,6 +24,19 @@ ANNUITY_REFERENCES = [
     (2.0, 0.5, 0.03, 0.8806853363633316),
 ]
 
+# names near default, at and just above zero rate (where the closed form
+# cancels) and at 0.02; mpmath quadrature of e^(-rate*s) Q(s) ds at 40
+# digits
+NEAR_DEFAULT_REFERENCES = [
+    # tau, y0, rate, value
+    (10.0, 0.1, 2e-9, 0.49471060125398452207),
+    (10.0, 0.01, 9e-10, 0.050362734393391355033),
+    (30.0, 0.05, 3e-10, 0.43452544061404082157),
+    (1.0, 0.1, 1e-6, 0.14984268785240640114),
+    (10.0, 0.1, 0.0, 0.4947106046165121906),
+    (10.0, 0.1, 0.02, 0.46301079461756910544),
+]
+
 
 def test_survival_reference():
     assert abs(cds1d.survival_1d(1.0, 1.0) - 0.6826894921370859) < 1e-15
@@ -74,6 +87,11 @@ def test_green_integrates_to_survival():
 @pytest.mark.parametrize("tau,y0,rate,want", ANNUITY_REFERENCES)
 def test_annuity_references(tau, y0, rate, want):
     assert abs(cds1d.annuity_1d(tau, y0, rate) - want) < 1e-12
+
+
+@pytest.mark.parametrize("tau,y0,rate,want", NEAR_DEFAULT_REFERENCES)
+def test_annuity_near_default_references(tau, y0, rate, want):
+    assert cds1d.annuity_1d(tau, y0, rate) == pytest.approx(want, rel=1e-12)
 
 
 def test_annuity_riskless_limit_far_from_barrier():

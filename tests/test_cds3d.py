@@ -88,6 +88,87 @@ class TestGreen3d:
             cds3d.green_3d(basis, 0.05, src.r0, src.phi0,
                            src.theta0 * 1.01, src)
 
+    def _lattice(self, basis, n_radii=24, n_angles=40):
+        inner = np.nonzero(~basis.mesh.boundary_mask)[0][:n_angles]
+        phi, theta = basis.mesh.vertices[inner].T
+        r = np.linspace(0.5, 6.0, n_radii)
+        return r[:, None], phi[None, :], theta[None, :]
+
+    def test_lattice_asks_bessel_per_radius(self, octant_basis,
+                                            monkeypatch):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        asked = []
+
+        def counting(nu, x):
+            asked.append(np.broadcast(nu, x).size)
+            return bessel_i_scaled(nu, x)
+
+        monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
+        r, phi, theta = self._lattice(basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cds3d.green_3d(basis, 1.0, r, phi, theta, src, n_terms=40)
+        assert sum(asked) == 24 * 40
+
+    def test_lattice_locates_each_angle_once(self, octant_basis,
+                                             monkeypatch):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        located = []
+
+        def recording(b, phi, theta):
+            located.append(np.column_stack([np.ravel(phi),
+                                            np.ravel(theta)]))
+            return fem.eval_basis(b, phi, theta)
+
+        monkeypatch.setattr(cds3d, "eval_basis", recording)
+        r, phi, theta = self._lattice(basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cds3d.green_3d(basis, 1.0, r, phi, theta, src)
+        # one call for the lattice's angles, one for the source
+        lattice = located[0]
+        assert len(lattice) == len(np.unique(lattice, axis=0)) == 40
+        assert np.array_equal(np.unique(lattice, axis=0), np.unique(
+            np.column_stack([phi.ravel(), theta.ravel()]), axis=0))
+
+    def test_lattice_matches_scalar_calls(self, octant_basis):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        r, phi, theta = self._lattice(basis, n_radii=6, n_angles=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lattice = cds3d.green_3d(basis, 1.0, r, phi, theta, src)
+            loop = np.array([[cds3d.green_3d(basis, 1.0, rk, pj, tj, src)
+                              for pj, tj in zip(phi[0], theta[0])]
+                             for rk in r[:, 0]])
+        assert lattice.shape == (6, 15)
+        scale = np.abs(loop).max()
+        assert scale > 0.0
+        assert np.abs(lattice - loop).max() <= 1e-13 * scale
+
+    def test_rejects_array_tau(self, octant_basis):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        with pytest.raises(ValueError, match="tau must be"):
+            cds3d.green_3d(basis, [1.0, 2.0], src.r0, src.phi0,
+                           src.theta0, src)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_rejects_nonpositive_tau(self, octant_basis, tau):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            cds3d.green_3d(basis, tau, src.r0, src.phi0, src.theta0, src)
+
+    def test_rejects_negative_radius(self, octant_basis):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            cds3d.green_3d(basis, 1.0, [1.0, -0.5], src.phi0, src.theta0,
+                           src)
+
     def test_volume_integral_is_survival_identity(self, octant_basis):
         # with the shared caches the equality is algebraic: integrating
         # the mode profiles with the mass matrix reproduces s_n exactly
