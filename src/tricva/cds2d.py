@@ -10,6 +10,12 @@ Two independent representations of the absorbed transition density are
 kept deliberately: an eigenfunction series in the wedge angle, and a sum
 of free-space kernels over reflected sources. They validate each other and
 the survival series.
+
+Every Bessel series here stops at the order _order_cutoff(z). The CVA's
+seller-edge flux is a (radius, order) grid evaluated on its live cells
+only (_live_cells), the rule the three-name radial kernel shares; the
+CVA quadrature also returns its exact derivative in the coupon, which
+the break-even root of a far buyer steps on.
 """
 
 import math
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cds1d import cds_values_1d
+from .cds1d import _legs_1d, cds_values_1d
 from .specfun import (bessel_i_scaled, gauss_legendre, ln_gamma,
                       ln_hyp1f1_neg)
 
@@ -30,6 +36,10 @@ _ORDER_CAP = 4000
 # Skip boundary-flux evaluation when the source cannot have reached the edge:
 # exp(-d^2/2tau) below ~1e-350 underflows any payout it multiplies.
 _REACH_EXPONENT = 800.0
+# Bessel cells whose Gaussian prefactor is below this fraction of their
+# grid's largest are skipped: with ive <= 1 they hold at most that
+# fraction of the largest row's scale.
+_DEAD_PREFACTOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,34 @@ def _order_cutoff(z):
     """Largest Bessel order that still contributes at argument z.
 
     ive(nu, z) plateaus near 1/sqrt(2 pi z) and then falls off like
-    exp(-nu^2 / 2z), so orders beyond ~sqrt(z) are dead weight; for small
-    z the linear rule dominates and is conservative.
+    exp(-nu^2 / 2z), so at large z the order 9 sqrt(z) is e^-40.5 down;
+    at small z ive(nu, z) ~ (z/2)^nu / Gamma(nu + 1) and the offset 5
+    carries the cut. Over z in [1e-4, 1e5], ive(nu, z) at the cut is at
+    most 2.5e-15 of ive(0, z) (near z = 0.17) and 4.7e-14 of ive(1, z)
+    (near z = 0.065). Broadcasts over arrays of z.
     """
-    return 5.0 + min(3.0 * z, 7.0 * math.sqrt(max(z, 0.0)))
+    return 5.0 + 9.0 * np.sqrt(np.maximum(z, 0.0))
+
+
+def _live_cells(pref, z, nu):
+    """Flat (row, order) indices of the Bessel cells a kernel grid needs.
+
+    pref and z hold each row's Gaussian prefactor and Bessel argument
+    (raveled); nu is ascending. A row is live while its prefactor is
+    above _DEAD_PREFACTOR of the grid's largest, and there it keeps the
+    orders up to _order_cutoff(z), at least the first: a prefix of nu.
+    What the skipped cells held is bounded per row by pref times the sum
+    of the |coefficients| they multiply, times 1 on a dead row
+    (ive <= 1) and times ive(nu_c, z) past the last kept order nu_c
+    (ive(nu, z) <= ive(nu_c, z) for nu >= nu_c >= 0).
+    """
+    pref = np.ravel(pref)
+    n_live = np.maximum(np.searchsorted(nu, _order_cutoff(np.ravel(z)),
+                                        side="right"), 1)
+    n_live[pref <= _DEAD_PREFACTOR * pref.max()] = 0
+    rows = np.repeat(np.arange(len(pref)), n_live)
+    start = np.repeat(np.cumsum(n_live) - n_live, n_live)
+    return rows, np.arange(len(rows)) - start
 
 
 def green_2d_eigen(tau, r, phi, wedge, n_terms=None):
@@ -248,7 +282,8 @@ def survival_2d_1f1(tau, wedge, max_terms=500):
 def _edge_flux_coefficients(tau, r, wedge, max_terms):
     """Angular derivative of the eigenfunction series on the phi = varpi
     edge: G_phi(tau, r, varpi) as an array over r. Negative (density falls
-    off toward the absorbing edge)."""
+    off toward the absorbing edge). Only the live cells of the
+    (radius, order) grid call the Bessel function (_live_cells)."""
     z = r * wedge.r0 / tau
     nu_stop = _order_cutoff(float(np.max(z)))
     n_terms = min(int(math.ceil(nu_stop * wedge.varpi / math.pi)) + 1,
@@ -259,10 +294,12 @@ def _edge_flux_coefficients(tau, r, wedge, max_terms):
     n = np.arange(1, n_terms + 1)
     nu = n * math.pi / wedge.varpi
     signs = np.where(n % 2 == 0, 1.0, -1.0)  # cos(n pi)
-    terms = bessel_i_scaled(nu, z[:, None]) * (
-        nu * signs * np.sin(nu * wedge.phi0))
     pref = (2.0 / (wedge.varpi * tau)) * np.exp(
         -0.5 * (r - wedge.r0) ** 2 / tau)
+    rows, cols = _live_cells(pref, z, nu)
+    bess = np.zeros((len(r), n_terms))
+    bess[rows, cols] = bessel_i_scaled(nu[cols], z[rows])
+    terms = bess * (nu * signs * np.sin(nu * wedge.phi0))
     return pref * terms.sum(axis=1)
 
 
@@ -299,6 +336,22 @@ def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
     Time nodes the diffusion cannot reach are skipped outright: their
     true flux underflows and a truncated series would leave pure noise.
     """
+    return _cva_2d_with_slope(wedge, terms, recovery_seller, horizon,
+                              n_time, n_radial, max_terms)[0]
+
+
+def _cva_2d_with_slope(wedge, terms, recovery_seller, horizon=None,
+                       n_time=64, n_radial=200, max_terms=_ORDER_CAP):
+    """cva_2d and its derivative in the coupon, from one quadrature.
+
+    With V = D - coupon A the 1D value (cds1d._legs_1d),
+
+      d CVA / d coupon = (1 - R_s)/2 int_0^T dt e^(-rate t)
+                         int_0^r* G_phi(t, r, varpi) A / r dr <= 0
+
+    on the same nodes: the exposure vanishes at its root r*, so the
+    root's move with the coupon adds nothing.
+    """
     T = terms.maturity if horizon is None else horizon
     t_nodes, t_w = gauss_legendre(n_time, 0.0, T)
     r_hi = wedge.r0 + 8.0 * math.sqrt(T)
@@ -306,6 +359,7 @@ def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
     # closest approach of the source to the seller edge
     gap = wedge.r0 * math.sin(min(wedge.varpi - wedge.phi0, 0.5 * math.pi))
     total = 0.0
+    slope = 0.0
     for t, wt in zip(t_nodes, t_w):
         if gap * gap / (2.0 * t) > _REACH_EXPONENT:
             continue
@@ -318,8 +372,14 @@ def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
             continue
         r_nodes, r_w = gauss_legendre(n_radial, r_lo, min(r_star, r_hi))
         flux = _edge_flux_coefficients(t, r_nodes, wedge, max_terms)
-        exposure = cds_values_1d(tau_left, wedge.rho_bar * r_nodes, terms)
+        d, a = _legs_1d(tau_left, wedge.rho_bar * r_nodes, terms.rate,
+                        terms.recovery)
+        exposure = d - terms.coupon * a
+        a = np.where(exposure > 0.0, a, 0.0)
         exposure = np.maximum(exposure, 0.0)
         integrand = flux * exposure / r_nodes
-        total += wt * math.exp(-terms.rate * t) * np.sum(r_w * integrand)
-    return -0.5 * (1.0 - recovery_seller) * total
+        disc = wt * math.exp(-terms.rate * t)
+        total += disc * np.sum(r_w * integrand)
+        slope += disc * np.sum(r_w * flux * a / r_nodes)
+    scale = 0.5 * (1.0 - recovery_seller)
+    return -scale * total, scale * slope

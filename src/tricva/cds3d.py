@@ -10,6 +10,12 @@ variationally, pairing each mode's residual (K - Lambda^2 M) psi with
 the boundary hat functions, which keeps them exactly consistent with
 the discrete basis and needs no off-mesh differentiation; the basis
 stores those boundary rows, formed once when it is built.
+
+The pricing grid calls the Bessel function on the live cells of its
+(time, radius) x order kernel only, by the rule of cds2d._live_cells;
+green_3d evaluates every radius and mode. A buyer past the reach cut
+is priced on the seller-reference wedge, where the CVA-only break-even
+coupon is a Newton root on the wedge CVA's exact coupon slope.
 """
 
 import math
@@ -20,7 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import cds1d
-from .cds2d import cva_2d, survival_2d, to_wedge
+from .cds2d import (_cva_2d_with_slope, _live_cells, cva_2d,
+                    survival_2d, to_wedge)
 from .domain3d import correlate, decorrelate
 from .fem import eval_basis
 from .specfun import bessel_i_scaled, gauss_legendre, ln_gamma, ln_hyp1f1_neg
@@ -88,14 +95,29 @@ def _unreachable_buyer_wedge(domain, source, horizon):
     return to_wedge(x, y, domain.rho_xy)
 
 
+def _scalar_tau(tau):
+    """tau as a float; ValueError unless it is a positive scalar."""
+    if np.ndim(tau) != 0:
+        raise ValueError("tau must be a positive scalar")
+    tau = float(tau)
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    return tau
+
+
 def _source_weights(basis, source, n_terms):
     psi0 = eval_basis(basis, source.phi0, source.theta0)[0]
     return psi0[:n_terms]
 
 
-def _radial_kernel(basis, tau, r, r0, n_terms):
+def _radial_kernel(basis, tau, r, r0, n_terms, live_only=False):
     """exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) / (tau sqrt(r r0)),
-    Bessel factor scaled; shape (len(tau), len(r), n_terms)."""
+    Bessel factor scaled; shape (len(tau), len(r), n_terms).
+
+    live_only calls the Bessel function on the live cells of the
+    (tau, r) x order grid alone (cds2d._live_cells) and leaves the
+    others 0.
+    """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     nu = basis.nu[:n_terms]
@@ -103,7 +125,13 @@ def _radial_kernel(basis, tau, r, r0, n_terms):
     with np.errstate(under="ignore"):
         base = (np.exp(-((r[None, :] - r0) ** 2) / (2.0 * tau[:, None]))
                 / (tau[:, None] * np.sqrt(r[None, :] * r0)))
-        bess = bessel_i_scaled(nu[None, None, :], z[:, :, None])
+        if live_only:
+            rows, cols = _live_cells(base, z, nu)
+            bess = np.zeros(z.shape + nu.shape)
+            bess.reshape(-1, len(nu))[rows, cols] = bessel_i_scaled(
+                nu[cols], z.ravel()[rows])
+        else:
+            bess = bessel_i_scaled(nu[None, None, :], z[:, :, None])
     return base[:, :, None] * bess
 
 
@@ -120,11 +148,7 @@ def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     values and locates each distinct (phi, theta) once: a lattice of
     radii x angles costs what its radii and its angles cost apart.
     """
-    if np.ndim(tau) != 0:
-        raise ValueError("tau must be a positive scalar")
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    tau = _scalar_tau(tau)
     n_terms = basis.n_modes if n_terms is None else n_terms
     r, phi, theta = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(phi, float),
@@ -161,6 +185,7 @@ def survival_3d(basis, tau, source, n_terms=None):
     three-name value by at most erfc(z / sqrt(2 tau)) < 6.4e-5. The
     source must come from transform_3d for this check to apply.
     """
+    tau = _scalar_tau(tau)
     wedge = _unreachable_buyer_wedge(source.domain, source, tau)
     if wedge is not None:
         return survival_2d(tau, wedge)
@@ -277,7 +302,12 @@ def _face_distances(domain, fluxes, r_nodes):
 
 def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
                     n_terms=None):
-    """Assemble the time/radius grids, per-face flux tensors and 1D legs."""
+    """Assemble the time/radius grids, per-face flux tensors and 1D legs.
+
+    The radial kernel is evaluated on its live cells only
+    (cds2d._live_cells); the skipped cells' share of each flux is
+    bounded there.
+    """
     n_terms = basis.n_modes if n_terms is None else n_terms
     fluxes = _variational_face_fluxes(basis, domain)
     t_nodes, t_w = gauss_legendre(n_time, 0.0, terms.maturity)
@@ -285,7 +315,8 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
 
     psi0 = _source_weights(basis, source, n_terms)
-    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0, n_terms)
+    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0, n_terms,
+                         live_only=True)
     rad *= psi0[None, None, :]
     flux_s = np.einsum("ijn,kn->ijk", rad,
                        fluxes.seller_coeff[:, :n_terms])
@@ -387,6 +418,8 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
     is then cva_2d on the seller-reference wedge and the DVA leg is
     zero, as in cva_3d and dva_3d, so no three-name grid is built; the
     adjusted value is off by at most the sum of their two error bounds.
+    That root is Newton's (_wedge_breakeven); the grid roots are
+    brentq's, as the bilateral grid value need not be concave.
     """
     # the closed-form value is linear in the coupon: V = D - coupon A
     d0, a0 = cds1d._legs_1d(terms.maturity, y0_reference, terms.rate,
@@ -395,7 +428,11 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
     if adjust == "none":
         return plain
     wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
-    if wedge is None and grid is None:
+    if wedge is not None:
+        if adjust == "dva":
+            return plain
+        return _wedge_breakeven(wedge, terms, recovery_seller, d0, a0, plain)
+    if grid is None:
         grid = prepare_pricing(basis, domain, source, terms, n_time,
                                n_radial, n_terms)
 
@@ -403,9 +440,8 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
         t = replace(terms, coupon=coupon)
         value = d0 - coupon * a0
         if adjust in ("cva", "bilateral"):
-            value -= (cva_2d(wedge, t, recovery_seller) if wedge is not None
-                      else _leg(grid, t, "cva", recovery_seller))
-        if adjust in ("dva", "bilateral") and wedge is None:
+            value -= _leg(grid, t, "cva", recovery_seller)
+        if adjust in ("dva", "bilateral"):
             value += _leg(grid, t, "dva", recovery_buyer)
         return value
 
@@ -420,6 +456,25 @@ def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
     else:
         raise RuntimeError("no breakeven coupon bracket found")
     return brentq(adjusted, lo, hi, xtol=1e-12, rtol=1e-12)
+
+
+def _wedge_breakeven(wedge, terms, recovery_seller, d0, a0, coupon):
+    """Root of f(c) = d0 - c a0 - cva_2d(c) by Newton from the plain coupon.
+
+    The exposure's positive part is convex in the coupon, so f is concave
+    and decreasing. At the plain coupon f = -cva <= 0, so each Newton
+    step lands between the root and the last iterate: the steps fall
+    monotonically onto the root. The slope -a0 - d cva / d coupon comes
+    exactly from the same quadrature (cds2d._cva_2d_with_slope).
+    """
+    for _ in range(30):
+        cva, slope = _cva_2d_with_slope(wedge, replace(terms, coupon=coupon),
+                                        recovery_seller)
+        step = (d0 - coupon * a0 - cva) / (-a0 - slope)
+        coupon -= step
+        if abs(step) < 1e-12 * (1.0 + abs(coupon)):
+            return coupon
+    raise RuntimeError("wedge breakeven Newton did not converge")
 
 
 @dataclass(frozen=True)

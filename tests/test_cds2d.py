@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tricva import cds1d, cds2d
 from tricva.model import CdsTerms
+from tricva.specfun import bessel_i_scaled
 
 F_REFERENCES = [
     (1.0, math.pi / 2, 0.860321682407031),
@@ -126,6 +127,18 @@ def test_green_eigen_factorizes_at_zero_correlation():
                 * cds1d.green_1d_images(tau, 1.4, y))
         got = cds2d.green_2d_eigen(tau, r, phi, w)
         assert math.isclose(got, want, rel_tol=1e-9)
+
+
+def test_green_eigen_default_series_converged_at_small_argument():
+    # z = r r0 / tau = 0.5 on a strongly correlated wedge: the order cut
+    # must hold the default sum to a 300-term one (a 5 + 3z cut left
+    # 1e-8 relative)
+    w = cds2d.to_wedge(1.0, 1.0, 0.95)
+    r = 0.5 / w.r0
+    phi = 0.1 * w.varpi
+    full = cds2d.green_2d_eigen(1.0, r, phi, w, n_terms=300)
+    got = cds2d.green_2d_eigen(1.0, r, phi, w)
+    assert math.isclose(got, full, rel_tol=1e-13)
 
 
 def test_green_vanishes_on_edges():
@@ -246,3 +259,48 @@ def test_series_cap_warns():
         warnings.simplefilter("always")
         cds2d.green_2d_eigen(1e-9, 1.414, 0.5, w)
     assert any("order cap" in str(m.message) for m in rec)
+
+
+def _edge_flux_full(t, r, w):
+    # every (radius, order) cell of the edge-flux grid, and the pieces
+    # of the skipped-cell bound
+    z = r * w.r0 / t
+    n_terms = int(math.ceil(cds2d._order_cutoff(z.max()) * w.varpi
+                            / math.pi)) + 1
+    n = np.arange(1, n_terms + 1)
+    nu = n * math.pi / w.varpi
+    coef = nu * np.where(n % 2 == 0, 1.0, -1.0) * np.sin(nu * w.phi0)
+    pref = (2.0 / (w.varpi * t)) * np.exp(-0.5 * (r - w.r0) ** 2 / t)
+    bess = bessel_i_scaled(nu, z[:, None])
+    return pref * (bess * coef).sum(axis=1), pref, z, nu, coef, bess
+
+
+def test_edge_flux_skips_dead_cells_within_bound(monkeypatch):
+    w = cds2d.to_wedge(1.5, 2.9, 0.8)
+    asked = []
+
+    def counting(nu, x):
+        asked.append(np.broadcast(nu, x).size)
+        return bessel_i_scaled(nu, x)
+
+    monkeypatch.setattr(cds2d, "bessel_i_scaled", counting)
+    r = np.linspace(1e-3, 12.0, 200)
+    for t in (0.1, 0.5, 4.0):
+        asked.clear()
+        got = cds2d._edge_flux_coefficients(t, r, w, cds2d._ORDER_CAP)
+        full, pref, z, nu, coef, bess = _edge_flux_full(t, r, w)
+        assert sum(asked) < 0.7 * bess.size
+        diff = np.abs(got - full)
+        assert diff.max() <= 1e-12 * np.abs(full).max()
+        # the stated bound: pref sum |coef| on a dead row, and
+        # pref ive(nu_c, z) sum_(n > c) |coef_n| past the last kept order
+        # nu_c; round-off of the row's sum comes on top
+        rows, cols = cds2d._live_cells(pref, z, nu)
+        kept = np.bincount(rows, minlength=len(r))
+        tail = np.append(np.cumsum(np.abs(coef)[::-1])[::-1], 0.0)[kept]
+        ive_c = np.where(kept > 0,
+                         bess[np.arange(len(r)), np.maximum(kept - 1, 0)],
+                         1.0)
+        bound = pref * ive_c * tail
+        round_off = 4e-15 * pref * np.abs(bess * coef).sum(axis=1)
+        assert np.all(diff <= bound + round_off)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from tricva.model import CorrelationTriple, CdsTerms
 from tricva import cds1d, cds2d, cds3d, domain3d, fem
@@ -318,6 +319,19 @@ class TestSurvival3d:
             assert q3 <= min(pairs) + 1e-3
             assert min(pairs) <= min(singles) + 1e-9
 
+    def test_rejects_array_tau(self, octant_basis):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        with pytest.raises(ValueError, match="tau must be a positive scalar"):
+            cds3d.survival_3d(basis, [1.0, 2.0], src)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_rejects_nonpositive_tau(self, octant_basis, tau):
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            cds3d.survival_3d(basis, tau, src)
+
     def test_truncation_warning_for_short_horizon(self, basis_table1):
         _, basis = basis_table1
         src = _source(basis_table1)
@@ -480,6 +494,61 @@ class TestPricingGrid:
                 want = cds1d.cds_values_1d(tau_left, y[None, :, :], t)
                 assert np.array_equal(got, want)
 
+    def test_asks_fewer_bessel_values_than_the_grid(self, basis_table1,
+                                                    monkeypatch):
+        spec, basis = basis_table1
+        asked = []
+
+        def counting(nu, x):
+            asked.append(np.broadcast(nu, x).size)
+            return bessel_i_scaled(nu, x)
+
+        monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
+        cds3d.prepare_pricing(basis, spec, _source(basis_table1), TERMS,
+                              n_time=24, n_radial=100)
+        assert 0 < sum(asked) < 0.7 * 24 * 100 * basis.n_modes
+
+    def test_live_flux_tensors_match_full_grid(self, basis_table1):
+        # the flux tensors against every (time, radius, order) cell, and
+        # the stated bound on what the skipped cells held
+        spec, basis = basis_table1
+        src = _source(basis_table1)
+        grid = cds3d.prepare_pricing(basis, spec, src, TERMS, n_time=24,
+                                     n_radial=100)
+        t, r, r0 = grid.t_nodes, grid.r_nodes, src.r0
+        nu = basis.nu
+        base = (np.exp(-(r[None, :] - r0) ** 2 / (2.0 * t[:, None]))
+                / (t[:, None] * np.sqrt(r[None, :] * r0)))
+        z = np.multiply.outer(1.0 / t, r * r0)
+        bess = bessel_i_scaled(nu, z[:, :, None])
+        rows, _ = cds2d._live_cells(base, z, nu)
+        kept = np.bincount(rows, minlength=base.size).reshape(base.shape)
+        ive_c = np.where(kept > 0, np.take_along_axis(
+            bess, np.maximum(kept - 1, 0)[:, :, None], axis=2)[:, :, 0],
+            1.0)
+        psi0 = fem.eval_basis(basis, src.phi0, src.theta0)[0]
+        fluxes = cds3d._variational_face_fluxes(basis, spec)
+        x_gap, _, z_gap = cds3d._driver_distances(spec, src)
+        for got, coeff, gap in (
+                (grid.flux_seller, fluxes.seller_coeff, x_gap),
+                (grid.flux_buyer, fluxes.buyer_coeff, z_gap)):
+            taper = np.exp(np.minimum(
+                0.0, cds3d._REACH_EXPONENT - gap * gap / (2.0 * t)))
+            terms_n = psi0[:, None] * coeff.T          # (n, k)
+            full = np.einsum("ijn,nk->ijk", base[:, :, None] * bess,
+                             terms_n) * taper[:, None, None]
+            diff = np.abs(got - full)
+            assert diff.max() <= 1e-12 * np.abs(full).max()
+            tail = np.concatenate([np.cumsum(np.abs(terms_n)[::-1],
+                                             axis=0)[::-1],
+                                   np.zeros((1, terms_n.shape[1]))])
+            bound = ((taper[:, None] * base * ive_c)[:, :, None]
+                     * tail[kept])
+            round_off = 1e-14 * np.einsum(
+                "ijn,nk->ijk", base[:, :, None] * bess,
+                np.abs(terms_n)) * taper[:, None, None]
+            assert np.all(diff <= bound + round_off)
+
     def test_values_reject_other_terms(self, basis_table1):
         spec, basis = basis_table1
         grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
@@ -540,6 +609,44 @@ class TestBreakeven:
              - cds3d.cva_3d(basis, spec, src, t2, 0.5)
              + cds3d.dva_3d(basis, spec, src, t2, 0.4))
         assert abs(v) < 1e-9
+
+    def test_far_buyer_prices_with_few_wedge_quadratures(
+            self, reduction_basis, monkeypatch):
+        # the CVA-only root by Newton and the CVA at the contract coupon;
+        # the bilateral root is the CVA-only one past the buyer cut
+        spec, basis = reduction_basis
+        src = cds3d.transform_3d(spec, X0, Y0, 50.0)
+        calls = []
+        quadrature = cds2d._cva_2d_with_slope
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].coupon)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(cds2d, "_cva_2d_with_slope", counting)
+        monkeypatch.setattr(cds3d, "_cva_2d_with_slope", counting)
+        p = cds3d.price_3d(basis, spec, src, TERMS, 0.5, 0.4, Y0)
+        assert len(calls) <= 5
+        assert p.bec_cva_only == p.bec_bilateral < p.bec_1d
+        assert p.bec_dva_only == p.bec_1d
+
+    def test_far_buyer_newton_root_matches_brentq(self, reduction_basis):
+        spec, basis = reduction_basis
+        src = cds3d.transform_3d(spec, X0, Y0, 50.0)
+        wedge = cds3d._unreachable_buyer_wedge(spec, src, TERMS.maturity)
+        got = cds3d.breakeven_coupon_3d(
+            basis, spec, src, TERMS, recovery_seller=0.5,
+            recovery_buyer=0.4, y0_reference=Y0, adjust="cva")
+        d0, a0 = cds1d._legs_1d(TERMS.maturity, Y0, TERMS.rate,
+                                TERMS.recovery)
+
+        def adjusted(coupon):
+            return d0 - coupon * a0 - cds2d.cva_2d(
+                wedge, replace(TERMS, coupon=coupon), 0.5)
+
+        want = brentq(adjusted, 0.5 * d0 / a0, d0 / a0, xtol=1e-15,
+                      rtol=1e-15)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_safe_buyer_roots_on_the_reported_legs(self):
         # at 1y the raw buyer leg of this safe buyer is a hair negative
