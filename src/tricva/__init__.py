@@ -20,7 +20,7 @@ from .cds3d import (TruncationWarning, SphericalPoint, transform_3d,
                     green_3d, survival_3d, prepare_pricing, cva_3d, dva_3d,
                     breakeven_coupon_3d, Price3d, price_3d)
 from .mc_oracle import (McConfig, McEstimate, simulate_survival,
-                        simulate_cva_dva, richardson)
+                        simulate_cva_dva, simulate_contract, richardson)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "survival_3d", "prepare_pricing", "cva_3d", "dva_3d",
     "breakeven_coupon_3d", "Price3d", "price_3d",
     "McConfig", "McEstimate", "simulate_survival", "simulate_cva_dva",
-    "richardson",
+    "simulate_contract", "richardson",
     "__version__",
 ]

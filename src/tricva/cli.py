@@ -330,28 +330,18 @@ def cmd_price(cfg, out_dir, cache_dir):
 def _mc_runs(cfg):
     """Coarse, fine, and extrapolated MC estimates for the checks."""
     mc = cfg.mc
-    tau = cfg.terms.maturity
-    drv = cfg.drivers
     rho = (cfg.corr.rho_xy, cfg.corr.rho_xz, cfg.corr.rho_yz)
     out = {}
     for label, steps in (("coarse", mc["n_steps"]),
                          ("fine", 2 * mc["n_steps"])):
-        conf = mc_oracle.McConfig(n_paths=mc["n_paths"], dt=tau / steps,
+        conf = mc_oracle.McConfig(n_paths=mc["n_paths"],
+                                  dt=cfg.terms.maturity / steps,
                                   seed=mc["seed"],
                                   antithetic=mc["antithetic"])
-        cva, dva = mc_oracle.simulate_cva_dva(
-            drv, rho, cfg.terms, conf,
+        out[label] = mc_oracle.simulate_contract(
+            cfg.drivers, rho, cfg.terms, conf,
             recovery_seller=cfg.firms["X"].recovery,
             recovery_buyer=cfg.firms["Z"].recovery)
-        out[label] = {
-            "survival_1d": mc_oracle.simulate_survival(
-                1, [drv[1]], 0.0, tau, conf),
-            "survival_2d": mc_oracle.simulate_survival(
-                2, [drv[0], drv[1]], cfg.corr.rho_xy, tau, conf),
-            "survival_3d": mc_oracle.simulate_survival(3, drv, rho, tau,
-                                                       conf),
-            "cva_3d": cva, "dva_3d": dva,
-        }
     out["richardson"] = {
         name: mc_oracle.richardson(out["fine"][name], out["coarse"][name])
         for name in out["fine"]}
@@ -438,7 +428,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for CSV files")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="override mesh and MC seeds")
+                        help="override mc.seed and mesh.seed; uniform "
+                             "meshes ignore mesh.seed")
     parser.add_argument("--terms", type=int, metavar="N",
                         help="override series.n_terms")
     parser.add_argument("--points", type=int, metavar="N",

@@ -22,6 +22,10 @@ from scipy.spatial import Delaunay as _Delaunay
 from .model import validate_correlations
 
 THETA_FLOOR = 1e-3
+# spring relaxation: share of the net edge force moved per sweep, and
+# rest length over the mesh's RMS edge (> 1, so springs push outward)
+_FORCE_STEP = 0.2
+_FORCE_SCALE = 1.2
 
 
 @dataclass(frozen=True)
@@ -251,15 +255,15 @@ def _project_to_boundary(spec, pts, steps=3):
     return pts
 
 
-def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None,
-               force_step=0.2, force_scale=1.2):
+def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
     """Spring-relaxed Delaunay mesh of the chart region.
 
     Seeds a hex lattice over the bounding box, thins it by the sizing
-    function (uniform by default), then alternates retriangulation with
-    a force step along edges until the largest move falls under 1e-3 of
+    function (none: uniform), then alternates retriangulation with a
+    force step along edges until the largest move falls under 1e-3 of
     the mean edge. Corner vertices are pinned; points pushed outside are
-    projected back onto the boundary.
+    projected back onto the boundary. seed drives only the random
+    thinning by size_fn, so a uniform mesh is the same for every seed.
     """
     phi_s = np.linspace(0.0, spec.varpi, 2049)
     cap_s = theta_max_at(spec, phi_s)
@@ -306,14 +310,14 @@ def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None,
         mid = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
         hmid = (np.ones(len(mid)) if size_fn is None
                 else np.asarray(size_fn(mid), dtype=float))
-        want = hmid * force_scale * math.sqrt(
+        want = hmid * _FORCE_SCALE * math.sqrt(
             float(np.sum(length ** 2)) / float(np.sum(hmid ** 2)))
         f = np.maximum(want - length, 0.0)
         fvec = (f / length)[:, None] * vec
         move = np.zeros_like(pts)
         np.add.at(move, edges[:, 0], fvec)
         np.add.at(move, edges[:, 1], -fvec)
-        move *= force_step
+        move *= _FORCE_STEP
         move[:n_fix] = 0.0
         pts = pts + move
         d_now = signed_distance(spec, pts)

@@ -1,11 +1,14 @@
 """Monte Carlo verification of survival probabilities and adjustments.
 
-Plain Euler paths on the driver distances with absorbing barriers at
-zero. The estimates carry a discrete-monitoring bias (paths can dip
-below the barrier between grid times unseen) which shrinks like sqrt(dt)
-and is removed for comparisons by Richardson extrapolation over the two
-finest step sizes. Exact first-passage sampling is out of scope: this
-module is an oracle, not a production pricer.
+One walker runs plain Euler paths on the driver distances with
+absorbing barriers at zero and records each driver's first crossing
+step; simulate_survival, simulate_contract (all five checks of one
+contract) and simulate_cva_dva are views of one walk. The estimates
+carry a discrete-monitoring bias (paths can dip below the barrier
+between grid times unseen) which shrinks like sqrt(dt) and is removed
+for comparisons by Richardson extrapolation over the two finest step
+sizes. Exact first-passage sampling is out of scope: this module is an
+oracle, not a production pricer.
 """
 
 import math
@@ -91,120 +94,124 @@ def _chunk_sizes(n_paths, antithetic):
         left -= take
 
 
-def _place(out, chunk, cursor, antithetic):
-    """Store a chunk so antithetic mates sit half an array apart.
+def _stack(chunks, antithetic):
+    """Rows of all chunks, antithetic mates half an array apart.
 
-    _stats pairs out[i] with out[i + n/2]; chunks lay mates out as
-    [g; -g], so the two halves go to separate regions. Returns the
-    advanced cursor (pairs when antithetic, paths otherwise).
+    Chunks lay mates out as [g; -g], and _stats pairs sample i with
+    sample i + n/2, so the first halves go before all second halves.
     """
     if antithetic:
-        half = len(chunk) // 2
-        n_half = len(out) // 2
-        out[cursor:cursor + half] = chunk[:half]
-        out[n_half + cursor:n_half + cursor + half] = chunk[half:]
-        return cursor + half
-    out[cursor:cursor + len(chunk)] = chunk
-    return cursor + len(chunk)
+        chunks = ([c[:len(c) // 2] for c in chunks]
+                  + [c[len(c) // 2:] for c in chunks])
+    return np.concatenate(chunks)
 
 
-def simulate_survival(dims, x0s, rho, tau, cfg):
-    """Fraction of Euler paths with all drivers positive at every step.
+def _walk(x0s, rho, horizon, cfg):
+    """Chunked Euler paths of the drivers, and where each first crossed.
 
     Increments are Cholesky-correlated Gaussians on a uniform grid of
-    at most cfg.dt; the estimate is biased high (continuous crossings
-    between grid points go unseen).
+    at most cfg.dt. Returns n_steps and, per path, the first step at
+    which each driver was <= 0 (n_steps + 1 if never) and the driver
+    positions at the path's first crossing step.
     """
-    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    if len(x0s) != dims:
-        raise ValueError("x0s length must equal dims")
     if np.any(x0s <= 0):
         raise ValueError("drivers must start above the barrier")
-    _check_config(cfg, tau)
+    _check_config(cfg, horizon)
+    dims = len(x0s)
     chol = _correlation_cholesky(dims, rho)
-    n_steps = max(int(math.ceil(tau / cfg.dt - 1e-12)), 50)
-    sq = math.sqrt(tau / n_steps)
+    n_steps = max(int(math.ceil(horizon / cfg.dt - 1e-12)), 50)
+    sq = math.sqrt(horizon / n_steps)
     rng = np.random.default_rng(cfg.seed)
-    out = np.empty(cfg.n_paths)
-    done = 0
+    firsts, ats = [], []
     for size in _chunk_sizes(cfg.n_paths, cfg.antithetic):
         x = np.tile(x0s, (size, 1))
-        alive = np.ones(size, dtype=bool)
+        first_c = np.full((size, dims), n_steps + 1, dtype=np.int32)
+        at_c = x.copy()
         half = size // 2
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             if cfg.antithetic:
                 g = rng.standard_normal((half, dims))
                 dw = np.concatenate([g, -g]) @ chol.T
             else:
                 dw = rng.standard_normal((size, dims)) @ chol.T
             x += sq * dw
-            alive &= (x > 0.0).all(axis=1)
-        done = _place(out, alive.astype(float), done, cfg.antithetic)
-    return _stats(out, cfg.antithetic)
+            hit = (x <= 0.0) & (first_c > n_steps)
+            if hit.any():
+                first_c[hit] = k
+                newly = first_c.min(axis=1) == k
+                at_c[newly] = x[newly]
+        firsts.append(first_c)
+        ats.append(at_c)
+    return (n_steps, _stack(firsts, cfg.antithetic),
+            _stack(ats, cfg.antithetic))
 
 
-def simulate_cva_dva(drivers, rho, terms, cfg, recovery_seller,
-                     recovery_buyer):
-    """Path-wise credit adjustments at the first default among the trio.
+def simulate_survival(dims, x0s, rho, tau, cfg):
+    """Fraction of Euler paths with all drivers positive at every step.
 
-    drivers = (seller, reference, buyer) starting distances. When the
-    seller crosses first before maturity the path pays
-    (1 - R_seller) e^(-rate t) V^+ with V the closed-form CDS value at
-    the reference's current distance; the buyer crossing first pays the
-    symmetric V^- amount into DVA (reported positive). Reference-first
-    paths contribute nothing. Same-step double crossings are resolved
-    conservatively: a reference crossing dominates, and a simultaneous
-    seller+buyer crossing is dropped (an O(dt) tie either way).
+    The estimate is biased high (continuous crossings between grid
+    points go unseen).
+    """
+    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
+    if len(x0s) != dims:
+        raise ValueError("x0s length must equal dims")
+    n_steps, first, _ = _walk(x0s, rho, tau, cfg)
+    return _stats((first.min(axis=1) > n_steps).astype(float),
+                  cfg.antithetic)
+
+
+def simulate_contract(drivers, rho, terms, cfg, recovery_seller,
+                      recovery_buyer):
+    """Every MC check of one contract from a single path set.
+
+    drivers = (seller, reference, buyer) starting distances. Returns
+    McEstimates keyed survival_1d (the reference never crossed),
+    survival_2d (seller and reference never crossed), survival_3d (no
+    driver crossed), cva_3d and dva_3d. When the seller alone crosses
+    first, at step k before maturity, the path pays
+    (1 - R_seller) e^(-rate t_k) V^+ into CVA, with V the closed-form
+    CDS value at the reference's distance then; the buyer alone
+    crossing first pays the symmetric V^- amount into DVA (reported
+    positive). Same-step double crossings are resolved conservatively
+    (an O(dt) tie either way): a reference crossing dominates, and a
+    simultaneous seller+buyer crossing pays nothing.
     """
     x0s = np.asarray(drivers, dtype=float)
     if x0s.shape != (3,):
         raise ValueError("drivers must be the three starting distances")
-    if np.any(x0s <= 0):
-        raise ValueError("drivers must start above the barrier")
-    _check_config(cfg, terms.maturity)
-    chol = _correlation_cholesky(3, rho)
-    n_steps = max(int(math.ceil(terms.maturity / cfg.dt - 1e-12)), 50)
+    n_steps, first, at_first = _walk(x0s, rho, terms.maturity, cfg)
+    out = {name: _stats((first[:, cols].min(axis=1) > n_steps)
+                        .astype(float), cfg.antithetic)
+           for name, cols in (("survival_1d", [1]),
+                              ("survival_2d", [0, 1]),
+                              ("survival_3d", [0, 1, 2]))}
     dt = terms.maturity / n_steps
-    sq = math.sqrt(dt)
-    rng = np.random.default_rng(cfg.seed)
-    cva = np.zeros(cfg.n_paths)
-    dva = np.zeros(cfg.n_paths)
-    done = 0
-    for size in _chunk_sizes(cfg.n_paths, cfg.antithetic):
-        x = np.tile(x0s, (size, 1))
-        alive = np.ones(size, dtype=bool)
-        half = size // 2
-        cva_c = np.zeros(size)
-        dva_c = np.zeros(size)
-        for k in range(1, n_steps + 1):
-            if cfg.antithetic:
-                g = rng.standard_normal((half, 3))
-                dw = np.concatenate([g, -g]) @ chol.T
-            else:
-                dw = rng.standard_normal((size, 3)) @ chol.T
-            x += sq * dw
-            crossed = x <= 0.0
-            newly = alive & crossed.any(axis=1)
-            if newly.any():
-                t_k = k * dt
-                tau_left = terms.maturity - t_k
-                seller = newly & crossed[:, 0] & ~crossed[:, 1] \
-                    & ~crossed[:, 2]
-                buyer = newly & crossed[:, 2] & ~crossed[:, 1] \
-                    & ~crossed[:, 0]
-                disc = math.exp(-terms.rate * t_k)
-                if tau_left > 0 and seller.any():
-                    v = cds_values_1d(tau_left, x[seller, 1], terms)
-                    cva_c[seller] = ((1.0 - recovery_seller) * disc
-                                     * np.maximum(v, 0.0))
-                if tau_left > 0 and buyer.any():
-                    v = cds_values_1d(tau_left, x[buyer, 1], terms)
-                    dva_c[buyer] = ((1.0 - recovery_buyer) * disc
-                                    * np.maximum(-v, 0.0))
-                alive &= ~crossed.any(axis=1)
-        _place(cva, cva_c, done, cfg.antithetic)
-        done = _place(dva, dva_c, done, cfg.antithetic)
-    return _stats(cva, cfg.antithetic), _stats(dva, cfg.antithetic)
+    step = first.min(axis=1)
+    crossed = first == step[:, None]
+    tau_left = terms.maturity - np.arange(n_steps + 2) * dt
+    # scalar math.exp per step: np.exp may differ in the last bit
+    disc = np.array([math.exp(-terms.rate * (k * dt))
+                     for k in range(n_steps + 2)])
+    live = (step <= n_steps) & (tau_left[step] > 0) & ~crossed[:, 1]
+    for name, leg, other, rec, sign in (
+            ("cva_3d", 0, 2, recovery_seller, 1.0),
+            ("dva_3d", 2, 0, recovery_buyer, -1.0)):
+        pay = np.zeros(cfg.n_paths)
+        paid = live & crossed[:, leg] & ~crossed[:, other]
+        if paid.any():
+            k = step[paid]
+            v = cds_values_1d(tau_left[k], at_first[paid, 1], terms)
+            pay[paid] = (1.0 - rec) * disc[k] * np.maximum(sign * v, 0.0)
+        out[name] = _stats(pay, cfg.antithetic)
+    return out
+
+
+def simulate_cva_dva(drivers, rho, terms, cfg, recovery_seller,
+                     recovery_buyer):
+    """Path-wise CVA and DVA: simulate_contract's cva_3d and dva_3d."""
+    est = simulate_contract(drivers, rho, terms, cfg, recovery_seller,
+                            recovery_buyer)
+    return est["cva_3d"], est["dva_3d"]
 
 
 def richardson(fine, coarse):

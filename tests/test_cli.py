@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from tricva import cds3d, cli
+from tricva import cds3d, cli, mc_oracle
 
 
 def _write_config(path, **sections):
@@ -183,6 +183,19 @@ class TestMcCommand:
         assert lines[1] == "quantity,level,mean,std_error,n_effective"
         levels = {line.split(",")[1] for line in lines[2:]}
         assert levels == {"coarse", "fine", "richardson"}
+
+    def test_one_walk_per_step_size(self, tmp_path, monkeypatch):
+        walk = mc_oracle._walk
+        steps = []
+
+        def counted(x0s, rho, horizon, cfg):
+            steps.append(round(horizon / cfg.dt))
+            return walk(x0s, rho, horizon, cfg)
+
+        monkeypatch.setattr(mc_oracle, "_walk", counted)
+        cfgp = _write_config(tmp_path / "c.json")
+        assert _run(tmp_path, "mc", cfgp) == cli.OK
+        assert steps == [50, 100]
 
 
 class TestExitCodes:

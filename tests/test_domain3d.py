@@ -261,3 +261,17 @@ class TestMesh:
         v = mesh.vertices
         left = v[:, 0] < 0.5 * spec.varpi
         assert left.sum() > (~left).sum()
+
+    def test_seed_only_drives_size_function_thinning(self):
+        spec = make_domain((0.0, 0.0, 0.0))
+
+        def size(p):
+            return 0.5 + np.asarray(p)[:, 0]
+
+        u0, u1 = (d3.build_mesh(spec, n_points=200, seed=s) for s in (0, 1))
+        assert np.array_equal(u0.vertices, u1.vertices)
+        assert np.array_equal(u0.triangles, u1.triangles)
+        g0, g1 = (d3.build_mesh(spec, n_points=500, seed=s, size_fn=size)
+                  for s in (0, 1))
+        assert (g0.vertices.shape != g1.vertices.shape
+                or not np.array_equal(g0.vertices, g1.vertices))

@@ -9,7 +9,8 @@ from tricva.model import CorrelationTriple, CdsTerms
 from tricva.cds1d import survival_1d
 from tricva.cds2d import survival_2d, to_wedge
 from tricva.mc_oracle import (McConfig, McEstimate, richardson,
-                              simulate_cva_dva, simulate_survival)
+                              simulate_contract, simulate_cva_dva,
+                              simulate_survival)
 
 X0 = 1.4713114754098361
 Y0 = 2.9043062200956938
@@ -135,6 +136,42 @@ class TestAdjustmentPaths:
         assert cva.mean > 10.0 * cva.std_error
         assert dva.mean > 5.0 * dva.std_error
         assert cva.mean < 1.0 and dva.mean < 1.0
+
+
+class TestContract:
+    @pytest.mark.parametrize("rho, antithetic", [((0.8, 0.5, 0.3), True),
+                                                 ((0.0, 0.0, 0.0), False)])
+    def test_matches_the_single_quantity_runs(self, rho, antithetic):
+        cfg = _cfg(50, TERMS.maturity, n_paths=20_000,
+                   antithetic=antithetic)
+        est = simulate_contract((X0, Y0, Z0), rho, TERMS, cfg,
+                                recovery_seller=0.5, recovery_buyer=0.4)
+        assert est["survival_3d"] == simulate_survival(
+            3, [X0, Y0, Z0], rho, TERMS.maturity, cfg)
+        assert (est["cva_3d"], est["dva_3d"]) == simulate_cva_dva(
+            (X0, Y0, Z0), rho, TERMS, cfg, recovery_seller=0.5,
+            recovery_buyer=0.4)
+
+    def test_marginal_survivals_match_closed_forms(self):
+        # the reference and the seller-reference pair read off the
+        # shared 3D paths have the one- and two-name laws
+        rho = (0.8, 0.5, 0.3)
+        tau = TERMS.maturity
+        runs = [simulate_contract((X0, Y0, Z0), rho, TERMS,
+                                  _cfg(steps, tau, n_paths=40_000),
+                                  recovery_seller=0.5, recovery_buyer=0.4)
+                for steps in (100, 200)]
+        exact = {"survival_1d": survival_1d(tau, Y0),
+                 "survival_2d": survival_2d(tau, to_wedge(X0, Y0, rho[0]))}
+        for name, value in exact.items():
+            est = richardson(runs[1][name], runs[0][name])
+            assert abs(est.mean - value) < 3.0 * est.std_error, name
+
+    def test_needs_three_drivers(self):
+        with pytest.raises(ValueError, match="three"):
+            simulate_contract((1.0, 1.0), (0.0, 0.0, 0.0), TERMS,
+                              _cfg(50, TERMS.maturity, n_paths=20_000),
+                              recovery_seller=0.5, recovery_buyer=0.4)
 
 
 class TestValidation:
