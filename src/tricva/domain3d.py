@@ -302,9 +302,7 @@ def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
         tri = delaunay(pts)
         cent = pts[tri].mean(axis=1)
         tri = tri[signed_distance(spec, cent) < -geps]
-        edges = np.unique(np.sort(np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1),
-            axis=0)
+        edges = unique_edges(tri, len(pts))
         vec = pts[edges[:, 0]] - pts[edges[:, 1]]
         length = np.maximum(np.linalg.norm(vec, axis=1), 1e-12)
         mid = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
@@ -357,6 +355,19 @@ def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
     bmask = np.abs(signed_distance(spec, pts)) < 1e-6
     return SurfaceMesh(vertices=pts, triangles=tri, boundary_mask=bmask,
                        h0=h0)
+
+
+def unique_edges(tri, n):
+    """Edges of a triangle list, each once, as sorted (i, j) rows, i < j.
+
+    Each edge is the int64 key i*n + j, which sorts as the (i, j) rows
+    do, so this equals np.unique of the sorted rows with axis=0 without
+    its row-record sort.
+    """
+    e = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                tri[:, [2, 0]]]), axis=1).astype(np.int64)
+    key = np.unique(e[:, 0] * n + e[:, 1])
+    return np.column_stack([key // n, key % n])
 
 
 def _cap_vertices(pts, tri, n_fix, floor):
