@@ -30,8 +30,8 @@ log = logging.getLogger("tricva")
 OK, FAIL_VALIDATION, FAIL_CONFIG, FAIL_NUMERIC = 0, 1, 2, 3
 
 # npz cache layout, part of the cache key: bump it whenever the stored
-# arrays change
-_CACHE_LAYOUT = 2
+# arrays change, or the mesher gives a config different vertices
+_CACHE_LAYOUT = 3
 
 # Table-1 style inputs: initial value is the log distance ln(a0/l0),
 # converted to driver units by each firm's volatility.
@@ -193,11 +193,12 @@ def cache_key(cfg):
     """Identity of the eigenbasis inputs: geometry, mesh, quadrature.
 
     layout numbers the npz contents, so entries of an older layout are
-    never read.
+    never read. mesh.seed is left out: it drives only the thinning by a
+    sizing function, and the CLI builds uniform meshes only.
     """
     sub = {"layout": _CACHE_LAYOUT,
            "rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"],
-           "seed": cfg.mesh["seed"], "max_iter": cfg.mesh["max_iter"],
+           "max_iter": cfg.mesh["max_iter"],
            "size_fn": cfg.mesh["size_fn"],
            "quadrature": cfg.quadrature["rule"]}
     return hashlib.sha256(_canonical(sub).encode()).hexdigest()[:16]

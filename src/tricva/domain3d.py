@@ -26,6 +26,9 @@ THETA_FLOOR = 1e-3
 # rest length over the mesh's RMS edge (> 1, so springs push outward)
 _FORCE_STEP = 0.2
 _FORCE_SCALE = 1.2
+# retriangulate once some point has moved this share of h0 since the
+# last Delaunay call (Persson & Strang, SIAM Review 46(2), 2004)
+_RETRI_MOVE = 0.1
 
 
 @dataclass(frozen=True)
@@ -259,11 +262,17 @@ def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
     """Spring-relaxed Delaunay mesh of the chart region.
 
     Seeds a hex lattice over the bounding box, thins it by the sizing
-    function (none: uniform), then alternates retriangulation with a
-    force step along edges until the largest move falls under 1e-3 of
-    the mean edge. Corner vertices are pinned; points pushed outside are
-    projected back onto the boundary. seed drives only the random
-    thinning by size_fn, so a uniform mesh is the same for every seed.
+    function (none: uniform), then runs max_iter sweeps of a force step
+    along edges. Corner vertices are pinned; points pushed outside are
+    projected back onto the boundary. The triangulation and its edge
+    list are kept from sweep to sweep and rebuilt only once some point
+    has moved more than _RETRI_MOVE * h0 since the last Delaunay call,
+    about 21 calls in 150 sweeps. The loop would stop early once the
+    largest interior move fell under 1e-3 of the mean edge, but that
+    does not happen: the ratio stalls at 4e-3 to 8e-3 (500 to 1500
+    points), so every mesh runs all max_iter sweeps. seed drives only
+    the random thinning by size_fn, so a uniform mesh is the same for
+    every seed.
     """
     phi_s = np.linspace(0.0, spec.varpi, 2049)
     cap_s = theta_max_at(spec, phi_s)
@@ -297,12 +306,14 @@ def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
     pts = np.vstack([corners, pts[keep]])
     n_fix = len(corners)
 
-    tri = None
+    tri_pts = np.full_like(pts, np.inf)
     for _ in range(max_iter):
-        tri = delaunay(pts)
-        cent = pts[tri].mean(axis=1)
-        tri = tri[signed_distance(spec, cent) < -geps]
-        edges = unique_edges(tri, len(pts))
+        if np.max(np.linalg.norm(pts - tri_pts, axis=1)) > _RETRI_MOVE * h0:
+            tri_pts = pts.copy()
+            tri = delaunay(pts)
+            cent = pts[tri].mean(axis=1)
+            tri = tri[signed_distance(spec, cent) < -geps]
+            edges = unique_edges(tri, len(pts))
         vec = pts[edges[:, 0]] - pts[edges[:, 1]]
         length = np.maximum(np.linalg.norm(vec, axis=1), 1e-12)
         mid = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])

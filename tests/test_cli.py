@@ -80,6 +80,21 @@ class TestEig:
         assert "skipping assembly" in caplog.text
         assert (tmp_path / "out" / "eig.csv").read_bytes() == first
 
+    def test_seed_change_hits_the_cache(self, tmp_path, caplog):
+        # uniform meshes ignore mesh.seed, so it is not part of the key
+        cfgp = _write_config(tmp_path / "c.json",
+                             mesh={"n_points": 200},
+                             series={"n_terms": 10})
+        with caplog.at_level(logging.INFO, logger="tricva"):
+            assert _run(tmp_path, "eig", cfgp, "--seed", "0") == cli.OK
+            first = (tmp_path / "out" / "eig.csv").read_text()
+            assert "cache hit" not in caplog.text
+            assert _run(tmp_path, "eig", cfgp, "--seed", "1") == cli.OK
+            second = (tmp_path / "out" / "eig.csv").read_text()
+        assert "cache hit" in caplog.text
+        assert len(list((tmp_path / "cache").glob("eig-*.npz"))) == 1
+        assert first.splitlines()[1:] == second.splitlines()[1:]
+
     def test_cache_holds_boundary_rows_not_matrices(self, tmp_path):
         cfgp = _write_config(tmp_path / "c.json",
                              mesh={"n_points": 250},

@@ -251,6 +251,27 @@ class TestMesh:
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.triangles, m2.triangles)
 
+    def test_retriangulates_only_after_points_move(self, monkeypatch):
+        calls = []
+        delaunay = d3.delaunay
+
+        def counted(points):
+            calls.append(len(points))
+            return delaunay(points)
+
+        monkeypatch.setattr(d3, "delaunay", counted)
+        d3.build_mesh(make_domain((0.0, 0.0, 0.0)), n_points=500, seed=0)
+        # one call per sweep would be 150 relaxation calls, plus the
+        # cap clean-up calls at the end
+        assert len(calls) <= 40
+
+    def test_edge_keys_dedup_like_sorted_rows(self, octant_mesh):
+        _, mesh = octant_mesh
+        t = mesh.triangles
+        rows = np.unique(np.sort(np.concatenate(
+            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
+        assert np.array_equal(d3.unique_edges(t, len(mesh.vertices)), rows)
+
     def test_size_function_concentrates_points(self):
         spec = make_domain((0.0, 0.0, 0.0))
 
