@@ -31,7 +31,7 @@ OK, FAIL_VALIDATION, FAIL_CONFIG, FAIL_NUMERIC = 0, 1, 2, 3
 
 # npz cache layout, part of the cache key: bump it whenever the stored
 # arrays change, or the mesher gives a config different vertices
-_CACHE_LAYOUT = 3
+_CACHE_LAYOUT = 4
 
 # Table-1 style inputs: initial value is the log distance ln(a0/l0),
 # converted to driver units by each firm's volatility.
@@ -49,8 +49,7 @@ _DEFAULTS = {
     "terms": {"maturity": 5.0, "coupon": 0.02, "rate": 0.02,
               "recovery": 0.40},
     "maturities": [1.0, 2.0, 3.0, 4.0, 5.0],
-    "mesh": {"n_points": 1500, "max_iter": 150, "size_fn": "uniform",
-             "seed": 0},
+    "mesh": {"n_points": 1500, "seed": 0},
     "series": {"n_terms": 160},
     "quadrature": {"rule": "centroid", "n_time": 48, "n_radial": 200},
     "mc": {"n_paths": 100000, "n_steps": 200, "seed": 7,
@@ -161,10 +160,6 @@ def load_config(path=None, points=None, terms=None, seed=None):
         raise ConfigError("maturities must be positive")
     if raw["mesh"]["n_points"] < 50:
         raise ConfigError("mesh.n_points must be at least 50")
-    if raw["mesh"]["max_iter"] < 1:
-        raise ConfigError("mesh.max_iter must be positive")
-    if raw["mesh"]["size_fn"] != "uniform":
-        raise ConfigError("mesh.size_fn supports only 'uniform'")
     if raw["series"]["n_terms"] < 1:
         raise ConfigError("series.n_terms must be positive")
     if raw["quadrature"]["rule"] not in ("centroid", "midedge"):
@@ -193,13 +188,10 @@ def cache_key(cfg):
     """Identity of the eigenbasis inputs: geometry, mesh, quadrature.
 
     layout numbers the npz contents, so entries of an older layout are
-    never read. mesh.seed is left out: it drives only the thinning by a
-    sizing function, and the CLI builds uniform meshes only.
+    never read. mesh.seed is left out: the mesher ignores it.
     """
     sub = {"layout": _CACHE_LAYOUT,
            "rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"],
-           "max_iter": cfg.mesh["max_iter"],
-           "size_fn": cfg.mesh["size_fn"],
            "quadrature": cfg.quadrature["rule"]}
     return hashlib.sha256(_canonical(sub).encode()).hexdigest()[:16]
 
@@ -228,9 +220,7 @@ def ensure_basis(cfg, cache_dir):
                 return build_domain(cfg.corr), _basis_from_npz(data), key
         log.info("cache entry %s holds too few modes; rebuilding", key)
     spec = build_domain(cfg.corr)
-    mesh = build_mesh(spec, n_points=cfg.mesh["n_points"],
-                      seed=cfg.mesh["seed"],
-                      max_iter=cfg.mesh["max_iter"])
+    mesh = build_mesh(spec, n_points=cfg.mesh["n_points"])
     basis = fem.build_basis(mesh, n_modes=want,
                             quadrature=cfg.quadrature["rule"])
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -276,9 +266,7 @@ def _triangle_min_angles(mesh):
 
 def cmd_mesh(cfg, out_dir, cache_dir):
     spec = build_domain(cfg.corr)
-    mesh = build_mesh(spec, n_points=cfg.mesh["n_points"],
-                      seed=cfg.mesh["seed"],
-                      max_iter=cfg.mesh["max_iter"])
+    mesh = build_mesh(spec, n_points=cfg.mesh["n_points"])
     rows = [("vertex", p, t, int(b)) for (p, t), b
             in zip(mesh.vertices, mesh.boundary_mask)]
     rows += [("triangle", int(i), int(j), int(k))
@@ -429,8 +417,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for CSV files")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="override mc.seed and mesh.seed; uniform "
-                             "meshes ignore mesh.seed")
+                        help="override mc.seed and mesh.seed; the "
+                             "mesher ignores mesh.seed")
     parser.add_argument("--terms", type=int, metavar="N",
                         help="override series.n_terms")
     parser.add_argument("--points", type=int, metavar="N",

@@ -8,9 +8,9 @@ edge is the seller's barrier plane (x = 0), phi = varpi the reference's
 theta = 0 is the chart image of a single point (the x = y = 0 corner),
 kept off by a small floor.
 
-Also contains the unstructured mesher for that chart region: a spring
-relaxation over repeated Delaunay triangulations, with outside points
-projected back to the boundary each sweep.
+Also contains the unstructured mesher for that chart region: exact
+face nodes and a clipped hex lattice, triangulated by one Delaunay
+call.
 """
 
 import math
@@ -22,13 +22,6 @@ from scipy.spatial import Delaunay as _Delaunay
 from .model import validate_correlations
 
 THETA_FLOOR = 1e-3
-# spring relaxation: share of the net edge force moved per sweep, and
-# rest length over the mesh's RMS edge (> 1, so springs push outward)
-_FORCE_STEP = 0.2
-_FORCE_SCALE = 1.2
-# retriangulate once some point has moved this share of h0 since the
-# last Delaunay call (Persson & Strang, SIAM Review 46(2), 2004)
-_RETRI_MOVE = 0.1
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,10 @@ def build_domain(corr, theta_floor=THETA_FLOOR):
                       rho_yz=corr.rho_yz,
                       varpi=math.acos(-corr.rho_xy), chi=corr.chi(),
                       theta_floor=theta_floor)
-    if theta_max_at(spec, 0.5 * spec.varpi) < 10.0 * theta_floor:
+    # the face must clear the floor at every azimuth, ends included, and
+    # stand well off the pole at mid-azimuth (index 128 of 257)
+    cap = theta_max_at(spec, np.linspace(0.0, spec.varpi, 257))
+    if np.min(cap) <= theta_floor or cap[128] < 10.0 * theta_floor:
         raise ValueError("buyer face collapses onto the pole; correlations "
                          "too extreme for the chart")
     _check_orientation(spec)
@@ -203,7 +199,7 @@ def signed_distance(spec, pts):
     exact half-plane distances and the curved face uses the slope-scaled
     vertical gap (theta - Theta(phi)) / sqrt(1 + Theta'^2). The zero set
     is the exact boundary; magnitudes are first-order near corners,
-    which is all the relaxation needs.
+    which is all the mesher's clipping needs.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     phi, theta = pts[:, 0], pts[:, 1]
@@ -230,11 +226,7 @@ class SurfaceMesh:
     vertices: np.ndarray       # (n, 2) chart coordinates (phi, theta)
     triangles: np.ndarray      # (m, 3) indices
     boundary_mask: np.ndarray  # (n,) True where the vertex sits on an edge
-    h0: float                  # seed spacing
-
-    @property
-    def n_interior(self):
-        return int((~self.boundary_mask).sum())
+    h0: float                  # node spacing
 
     def edge_lengths(self):
         v, t = self.vertices, self.triangles
@@ -242,162 +234,71 @@ class SurfaceMesh:
         return np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
 
 
-def _project_to_boundary(spec, pts, steps=3):
-    # Newton steps along the numerical distance gradient; the distance
-    # field has near-unit gradient so this converges fast
-    eps = 1e-7
-    for _ in range(steps):
-        d = signed_distance(spec, pts)
-        if np.all(np.abs(d) < 1e-12):
-            break
-        dpx = signed_distance(spec, pts + [eps, 0.0])
-        dpy = signed_distance(spec, pts + [0.0, eps])
-        gx, gy = (dpx - d) / eps, (dpy - d) / eps
-        norm = np.maximum(np.hypot(gx, gy), 1e-12)
-        pts = pts - (d / norm ** 2)[:, None] * np.column_stack([gx, gy])
-    return pts
+def _face_nodes(spec, h, phi_s, arc):
+    """Boundary nodes at spacing about h, corners once each.
+
+    The straight faces are split evenly; the curved face is split evenly
+    in arc length (arc: cumulative length at the azimuths phi_s), with
+    each node placed exactly on theta = Theta(phi).
+    """
+    fl = spec.theta_floor
+    th0, th1 = theta_max_at(spec, 0.0), theta_max_at(spec, spec.varpi)
+
+    def split(length):
+        return np.linspace(0.0, 1.0, max(1, round(length / h)) + 1)
+
+    phi_c = np.interp(split(arc[-1]) * arc[-1], arc, phi_s)
+    u = split(spec.varpi)
+    left, right = split(th0 - fl)[1:-1], split(th1 - fl)[1:-1]
+    return np.vstack([
+        np.column_stack([u * spec.varpi, np.full(len(u), fl)]),
+        np.column_stack([np.zeros(len(left)), fl + left * (th0 - fl)]),
+        np.column_stack([np.full(len(right), spec.varpi),
+                         fl + right * (th1 - fl)]),
+        np.column_stack([phi_c, theta_max_at(spec, phi_c)])])
 
 
-def build_mesh(spec, n_points=1500, seed=0, max_iter=150, size_fn=None):
-    """Spring-relaxed Delaunay mesh of the chart region.
+def build_mesh(spec, n_points=1500, seed=0):
+    """Delaunay mesh of the chart region from one triangulation.
 
-    Seeds a hex lattice over the bounding box, thins it by the sizing
-    function (none: uniform), then runs max_iter sweeps of a force step
-    along edges. Corner vertices are pinned; points pushed outside are
-    projected back onto the boundary. The triangulation and its edge
-    list are kept from sweep to sweep and rebuilt only once some point
-    has moved more than _RETRI_MOVE * h0 since the last Delaunay call,
-    about 21 calls in 150 sweeps. The loop would stop early once the
-    largest interior move fell under 1e-3 of the mean edge, but that
-    does not happen: the ratio stalls at 4e-3 to 8e-3 (500 to 1500
-    points), so every mesh runs all max_iter sweeps. seed drives only
-    the random thinning by size_fn, so a uniform mesh is the same for
-    every seed.
+    Nodes sit on the four faces at spacing about h (_face_nodes), and a
+    hex lattice of spacing h adds its points more than h/2 inside. One
+    Delaunay call triangulates them all; triangles whose centroid lies
+    outside the chart are dropped. h solves the expected vertex count
+    for area A and perimeter P: the lattice's 2A/(sqrt(3) h^2), less the
+    P/(sqrt(3) h) it loses in the h/2 strip, plus P/h face nodes. seed
+    is accepted and ignored: the mesh is deterministic.
     """
     phi_s = np.linspace(0.0, spec.varpi, 2049)
     cap_s = theta_max_at(spec, phi_s)
-    th_hi = float(np.max(cap_s))
     area = float(np.trapezoid(cap_s - spec.theta_floor, phi_s))
-    h0 = math.sqrt(2.0 * area / (math.sqrt(3.0) * max(n_points, 4)))
-    geps = 1e-3 * h0
+    arc = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(phi_s),
+                                                    np.diff(cap_s)))])
+    perim = (spec.varpi + cap_s[0] + cap_s[-1] - 2.0 * spec.theta_floor
+             + arc[-1])
+    a = 2.0 * area / math.sqrt(3.0)
+    b = (1.0 - 1.0 / math.sqrt(3.0)) * perim
+    n = max(n_points, 4)
+    h = (b + math.sqrt(b * b + 4.0 * n * a)) / (2.0 * n)
 
-    xs = np.arange(0.0, spec.varpi + h0, h0)
-    ys = np.arange(spec.theta_floor, th_hi + h0 * math.sqrt(3.0) / 2.0,
-                   h0 * math.sqrt(3.0) / 2.0)
+    # the lattice starts (3h/4, dy/2) off the corner (0, theta_floor):
+    # no column or row lies on the h/2 clip line of the seller face or
+    # the floor, so rounding never decides which points stay. Other
+    # offsets mesh as accurately but move a 1500-point basis's short-
+    # horizon values by their source-position noise (README)
+    dy = h * math.sqrt(3.0) / 2.0
+    xs = np.arange(0.75 * h, spec.varpi + h, h)
+    ys = np.arange(spec.theta_floor + 0.5 * dy, float(np.max(cap_s)) + h,
+                   dy)
     px, py = np.meshgrid(xs, ys)
-    px[1::2] += h0 / 2.0  # shifted rows pack hexagonally
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    pts = pts[signed_distance(spec, pts) < -geps]
+    px[1::2] += h / 2.0  # shifted rows pack hexagonally
+    lattice = np.column_stack([px.ravel(), py.ravel()])
+    lattice = lattice[signed_distance(spec, lattice) < -0.5 * h]
+    faces = _face_nodes(spec, h, phi_s, arc)
+    pts = np.vstack([faces, lattice])
 
-    if size_fn is not None:
-        h = np.asarray(size_fn(pts), dtype=float)
-        keep = (np.min(h) / h) ** 2
-        rng = np.random.default_rng(seed)
-        pts = pts[rng.uniform(size=len(pts)) < keep]
-
-    corners = np.array([
-        [0.0, spec.theta_floor],
-        [spec.varpi, spec.theta_floor],
-        [0.0, theta_max_at(spec, 0.0)],
-        [spec.varpi, theta_max_at(spec, spec.varpi)]])
-    # drop seeds sitting on top of a pinned corner
-    keep = np.min(np.linalg.norm(pts[:, None, :] - corners[None, :, :],
-                                 axis=2), axis=1) > 0.5 * h0
-    pts = np.vstack([corners, pts[keep]])
-    n_fix = len(corners)
-
-    tri_pts = np.full_like(pts, np.inf)
-    for _ in range(max_iter):
-        if np.max(np.linalg.norm(pts - tri_pts, axis=1)) > _RETRI_MOVE * h0:
-            tri_pts = pts.copy()
-            tri = delaunay(pts)
-            cent = pts[tri].mean(axis=1)
-            tri = tri[signed_distance(spec, cent) < -geps]
-            edges = unique_edges(tri, len(pts))
-        vec = pts[edges[:, 0]] - pts[edges[:, 1]]
-        length = np.maximum(np.linalg.norm(vec, axis=1), 1e-12)
-        mid = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
-        hmid = (np.ones(len(mid)) if size_fn is None
-                else np.asarray(size_fn(mid), dtype=float))
-        want = hmid * _FORCE_SCALE * math.sqrt(
-            float(np.sum(length ** 2)) / float(np.sum(hmid ** 2)))
-        f = np.maximum(want - length, 0.0)
-        fvec = (f / length)[:, None] * vec
-        move = np.zeros_like(pts)
-        np.add.at(move, edges[:, 0], fvec)
-        np.add.at(move, edges[:, 1], -fvec)
-        move *= _FORCE_STEP
-        move[:n_fix] = 0.0
-        pts = pts + move
-        d_now = signed_distance(spec, pts)
-        out = d_now > 0
-        out[:n_fix] = False
-        if np.any(out):
-            pts[out] = _project_to_boundary(spec, pts[out])
-        interior = d_now < -geps
-        max_move = float(np.max(np.linalg.norm(move[interior], axis=1),
-                                initial=0.0))
-        if max_move < 1e-3 * float(np.mean(length)):
-            break
-
-    # snap everything within reach of an edge exactly onto it
-    d = signed_distance(spec, pts)
-    near = np.abs(d) < 0.3 * geps
-    near[:n_fix] = True
-    if np.any(near):
-        pts[near] = _project_to_boundary(spec, pts[near])
-
-    for _ in range(6):
-        tri = delaunay(pts)
-        cent = pts[tri].mean(axis=1)
-        tri = tri[signed_distance(spec, cent) < -geps]
-        bad = _cap_vertices(pts, tri, n_fix, floor=0.05)
-        if bad.size == 0:
-            break
-        keep = np.ones(len(pts), dtype=bool)
-        keep[bad] = False
-        pts = pts[keep]
-    referenced = np.zeros(len(pts), dtype=bool)
-    referenced[tri.ravel()] = True
-    # compress out any vertex no triangle uses
-    index = np.cumsum(referenced) - 1
-    pts = pts[referenced]
-    tri = index[tri]
-    bmask = np.abs(signed_distance(spec, pts)) < 1e-6
-    return SurfaceMesh(vertices=pts, triangles=tri, boundary_mask=bmask,
-                       h0=h0)
-
-
-def unique_edges(tri, n):
-    """Edges of a triangle list, each once, as sorted (i, j) rows, i < j.
-
-    Each edge is the int64 key i*n + j, which sorts as the (i, j) rows
-    do, so this equals np.unique of the sorted rows with axis=0 without
-    its row-record sort.
-    """
-    e = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
-                                tri[:, [2, 0]]]), axis=1).astype(np.int64)
-    key = np.unique(e[:, 0] * n + e[:, 1])
-    return np.column_stack([key // n, key % n])
-
-
-def _cap_vertices(pts, tri, n_fix, floor):
-    """Vertices opposite the long edge of near-degenerate triangles.
-
-    Quality is the usual 2 r_in / r_circ ratio; a cap triangle's apex is
-    nearly collinear with the other two, so deleting it heals the patch.
-    Pinned corner vertices are never returned.
-    """
-    v = pts[tri]
-    a = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-    b = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-    c = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
-    s = 0.5 * (a + b + c)
-    area2 = np.maximum(s * (s - a) * (s - b) * (s - c), 0.0)
-    quality = 8.0 * area2 / np.maximum(s * a * b * c, 1e-300)
-    bad = np.nonzero(quality < floor)[0]
-    if bad.size == 0:
-        return bad
-    apex = np.argmax(np.column_stack([a, b, c])[bad], axis=1)
-    verts = tri[bad, apex]
-    return np.unique(verts[verts >= n_fix])
+    tri = delaunay(pts)
+    tri = tri[signed_distance(spec, pts[tri].mean(axis=1)) < -1e-3 * h]
+    return SurfaceMesh(vertices=pts, triangles=tri,
+                       boundary_mask=np.arange(len(pts)) < len(faces),
+                       h0=h)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricva.cli import _triangle_min_angles
 from tricva.model import CorrelationTriple
-from tricva import domain3d as d3
+from tricva import domain3d as d3, fem
 
 # frozen with mpmath at 25 digits
 GEOMETRY_REFERENCES = [
@@ -110,6 +111,14 @@ class TestGeometry:
     def test_rejects_degenerate_correlations(self):
         with pytest.raises(ValueError):
             make_domain((0.7, 0.7, -0.0205))
+
+    def test_rejects_face_below_the_floor_at_an_end(self):
+        # Theta(0) = 4.6e-4 < theta_floor, though mid-azimuth is clear
+        with pytest.raises(ValueError, match="pole"):
+            make_domain((0.3, 0.6, -0.58315128))
+        # Theta(0) = 3.2e-3 clears the floor: still a chart
+        spec = make_domain((0.1387, 0.757, -0.5421))
+        assert d3.theta_max_at(spec, 0.0) > spec.theta_floor
 
 
 class TestSignedDistance:
@@ -251,7 +260,7 @@ class TestMesh:
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.triangles, m2.triangles)
 
-    def test_retriangulates_only_after_points_move(self, monkeypatch):
+    def test_one_delaunay_call_per_mesh(self, monkeypatch):
         calls = []
         delaunay = d3.delaunay
 
@@ -260,39 +269,39 @@ class TestMesh:
             return delaunay(points)
 
         monkeypatch.setattr(d3, "delaunay", counted)
-        d3.build_mesh(make_domain((0.0, 0.0, 0.0)), n_points=500, seed=0)
-        # one call per sweep would be 150 relaxation calls, plus the
-        # cap clean-up calls at the end
-        assert len(calls) <= 40
+        for rho in ((0.0, 0.0, 0.0), (0.8, 0.2, 0.5)):
+            calls.clear()
+            mesh = d3.build_mesh(make_domain(rho), n_points=500)
+            assert calls == [len(mesh.vertices)]
 
-    def test_edge_keys_dedup_like_sorted_rows(self, octant_mesh):
-        _, mesh = octant_mesh
-        t = mesh.triangles
-        rows = np.unique(np.sort(np.concatenate(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
-        assert np.array_equal(d3.unique_edges(t, len(mesh.vertices)), rows)
-
-    def test_size_function_concentrates_points(self):
+    def test_seed_leaves_the_mesh_unchanged(self):
         spec = make_domain((0.0, 0.0, 0.0))
-
-        def size(p):
-            return 0.5 + np.asarray(p)[:, 0]
-
-        mesh = d3.build_mesh(spec, n_points=500, seed=1, size_fn=size)
-        v = mesh.vertices
-        left = v[:, 0] < 0.5 * spec.varpi
-        assert left.sum() > (~left).sum()
-
-    def test_seed_only_drives_size_function_thinning(self):
-        spec = make_domain((0.0, 0.0, 0.0))
-
-        def size(p):
-            return 0.5 + np.asarray(p)[:, 0]
-
         u0, u1 = (d3.build_mesh(spec, n_points=200, seed=s) for s in (0, 1))
         assert np.array_equal(u0.vertices, u1.vertices)
         assert np.array_equal(u0.triangles, u1.triangles)
-        g0, g1 = (d3.build_mesh(spec, n_points=500, seed=s, size_fn=size)
-                  for s in (0, 1))
-        assert (g0.vertices.shape != g1.vertices.shape
-                or not np.array_equal(g0.vertices, g1.vertices))
+
+    @pytest.mark.parametrize("rho,n_points", [
+        ((0.0, 0.0, 0.0), 500), ((0.8, 0.2, 0.5), 600),
+        ((0.2, -0.1, -0.6), 540), ((0.0, 0.0, 0.0), 1500)])
+    def test_smallest_angle_and_vertex_count(self, rho, n_points):
+        mesh = d3.build_mesh(make_domain(rho), n_points=n_points)
+        assert _triangle_min_angles(mesh).min() >= 20.0
+        assert abs(len(mesh.vertices) - n_points) <= 0.03 * n_points
+
+    def test_triangles_are_locator_simplices(self, octant_mesh):
+        # eval_basis interpolates on the FE triangles only if the
+        # locator's Delaunay keeps every mesh triangle
+        _, mesh = octant_mesh
+        located = {tuple(t) for t in np.sort(
+            fem._Locator(mesh).tri.simplices, axis=1)}
+        assert {tuple(t) for t in np.sort(mesh.triangles, axis=1)} \
+            <= located
+
+    def test_distorted_chart_ground_mode_settles(self):
+        # the buyer face passes within 3.2e-3 of the pole at phi = 0;
+        # lambda_1 is 13.07 on a 6000-point mesh
+        spec = make_domain((0.1387, 0.757, -0.5421))
+        lam = [fem.build_basis(d3.build_mesh(spec, n_points=n),
+                               n_modes=1).lam2[0] for n in (600, 1500)]
+        assert lam[0] == pytest.approx(lam[1], rel=0.01)
+        assert lam[1] == pytest.approx(13.07, rel=0.02)
