@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cds1d import _legs_1d, cds_values_1d
 from .specfun import (bessel_i_scaled, gauss_legendre, ln_gamma,
@@ -308,16 +307,24 @@ def exposure_root(tau_left, terms, y_hi):
 
     The value is strictly decreasing in the driver, positive at the
     barrier (where protection is a sure thing) and negative for safe
-    names unless the coupon is zero. Returns y_hi when the value is
-    still positive there.
+    names unless the coupon is zero. Vectorised over tau_left: every
+    root is bisected at once on [1e-12 y_hi, y_hi] to 1e-15 relative.
+    Returns y_hi where the value is still positive there.
     """
-    if terms.coupon <= 0:
-        return y_hi
-    v_hi = cds_values_1d(tau_left, y_hi, terms)
-    if v_hi >= 0:
-        return y_hi
-    return brentq(lambda y: cds_values_1d(tau_left, y, terms),
-                  1e-12 * y_hi, y_hi, xtol=1e-14, rtol=1e-14)
+    tau_left = np.asarray(tau_left, dtype=float)
+    root = np.full(tau_left.shape, float(y_hi))
+    if terms.coupon > 0:
+        todo = cds_values_1d(tau_left, root, terms) < 0.0
+        tau = tau_left[todo]
+        lo = np.full(tau.shape, 1e-12 * y_hi)
+        hi = root[todo]
+        while np.any(hi - lo > 1e-15 * hi):
+            mid = 0.5 * (lo + hi)
+            above = cds_values_1d(tau, mid, terms) > 0.0
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        root[todo] = 0.5 * (lo + hi)
+    return root if root.ndim else float(root)
 
 
 def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
@@ -358,18 +365,17 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, horizon=None,
     r_lo = r_hi * 1e-6
     # closest approach of the source to the seller edge
     gap = wedge.r0 * math.sin(min(wedge.varpi - wedge.phi0, 0.5 * math.pi))
+    # nodes the diffusion cannot reach, and the exposure root of the rest
+    reach = (gap * gap / (2.0 * t_nodes) <= _REACH_EXPONENT) & (t_nodes < T)
+    r_stars = np.zeros_like(t_nodes)
+    r_stars[reach] = exposure_root(T - t_nodes[reach], terms,
+                                   wedge.rho_bar * r_hi) / wedge.rho_bar
     total = 0.0
     slope = 0.0
-    for t, wt in zip(t_nodes, t_w):
-        if gap * gap / (2.0 * t) > _REACH_EXPONENT:
-            continue
-        tau_left = T - t
-        if tau_left <= 0:
-            continue
-        r_star = exposure_root(tau_left, terms,
-                               wedge.rho_bar * r_hi) / wedge.rho_bar
+    for t, wt, r_star in zip(t_nodes, t_w, r_stars):
         if r_star <= r_lo:
             continue
+        tau_left = T - t
         r_nodes, r_w = gauss_legendre(n_radial, r_lo, min(r_star, r_hi))
         flux = _edge_flux_coefficients(t, r_nodes, wedge, max_terms)
         d, a = _legs_1d(tau_left, wedge.rho_bar * r_nodes, terms.rate,

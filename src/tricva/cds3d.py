@@ -283,12 +283,18 @@ class PricingGrid:
         Raises ValueError when terms differ from the grid's in anything
         but the coupon.
         """
+        return self.face_values(terms, "seller"), \
+            self.face_values(terms, "buyer")
+
+    def face_values(self, terms, face):
+        """values(terms) on one face only, "seller" or "buyer"."""
         if (terms.maturity, terms.rate, terms.recovery) != (
                 self.maturity, self.rate, self.recovery):
             raise ValueError("pricing grid built for other terms: only "
                              "the coupon may change")
-        return (self.default_seller - terms.coupon * self.annuity_seller,
-                self.default_buyer - terms.coupon * self.annuity_buyer)
+        if face == "seller":
+            return self.default_seller - terms.coupon * self.annuity_seller
+        return self.default_buyer - terms.coupon * self.annuity_buyer
 
 
 def _face_distances(domain, fluxes, r_nodes):
@@ -345,12 +351,13 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
 
 def _leg(grid, terms, which, recovery):
     """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do."""
-    vs, vb = grid.values(terms)
     if which == "cva":
-        exposure = np.maximum(vs, 0.0)
+        exposure = grid.face_values(terms, "seller")
+        np.maximum(exposure, 0.0, out=exposure)
         flux = grid.flux_seller
     else:
-        exposure = np.minimum(vb, 0.0)
+        exposure = grid.face_values(terms, "buyer")
+        np.minimum(exposure, 0.0, out=exposure)
         flux = grid.flux_buyer
     disc = np.exp(-terms.rate * grid.t_nodes)
     inner = np.einsum("ijk,ijk,j->i", exposure, flux, grid.r_weights)

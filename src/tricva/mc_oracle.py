@@ -113,12 +113,19 @@ def _walk(x0s, rho, horizon, cfg):
     at most cfg.dt. Returns n_steps and, per path, the first step at
     which each driver was <= 0 (n_steps + 1 if never) and the driver
     positions at the path's first crossing step.
+
+    A step costs about its normal draw: crossings are tracked on
+    per-driver and per-path alive flags, so nothing reduces over the
+    drivers, and the increments are written into one reused buffer.
+    An antithetic chunk multiplies its half draw g once and negates
+    the product, which equals [g; -g] @ chol.T bit for bit (rounding
+    is symmetric in sign).
     """
     if np.any(x0s <= 0):
         raise ValueError("drivers must start above the barrier")
     _check_config(cfg, horizon)
     dims = len(x0s)
-    chol = _correlation_cholesky(dims, rho)
+    chol_t = _correlation_cholesky(dims, rho).T
     n_steps = max(int(math.ceil(horizon / cfg.dt - 1e-12)), 50)
     sq = math.sqrt(horizon / n_steps)
     rng = np.random.default_rng(cfg.seed)
@@ -127,18 +134,29 @@ def _walk(x0s, rho, horizon, cfg):
         x = np.tile(x0s, (size, 1))
         first_c = np.full((size, dims), n_steps + 1, dtype=np.int32)
         at_c = x.copy()
+        alive = np.ones((size, dims), dtype=bool)
+        path_alive = np.ones(size, dtype=bool)
+        dw = np.empty((size, dims))
+        hit = np.empty((size, dims), dtype=bool)
         half = size // 2
         for k in range(1, n_steps + 1):
             if cfg.antithetic:
-                g = rng.standard_normal((half, dims))
-                dw = np.concatenate([g, -g]) @ chol.T
+                np.matmul(rng.standard_normal((half, dims)), chol_t,
+                          out=dw[:half])
+                np.negative(dw[:half], out=dw[half:])
             else:
-                dw = rng.standard_normal((size, dims)) @ chol.T
-            x += sq * dw
-            hit = (x <= 0.0) & (first_c > n_steps)
+                np.matmul(rng.standard_normal((size, dims)), chol_t,
+                          out=dw)
+            dw *= sq
+            x += dw
+            np.less_equal(x, 0.0, out=hit)
+            hit &= alive
             if hit.any():
-                first_c[hit] = k
-                newly = first_c.min(axis=1) == k
+                rows, cols = np.nonzero(hit)
+                first_c[rows, cols] = k
+                alive[rows, cols] = False
+                newly = rows[path_alive[rows]]
+                path_alive[newly] = False
                 at_c[newly] = x[newly]
         firsts.append(first_c)
         ats.append(at_c)

@@ -37,6 +37,16 @@ NEAR_DEFAULT_REFERENCES = [
     (10.0, 0.1, 0.02, 0.46301079461756910544),
 ]
 
+# names near default just above the series cut, rate tau ~ 1e-3, where
+# the closed-form loss numerator cancels; mpmath quadrature of
+# e^(-rate*s) Q(s) ds at 40 digits
+ABOVE_CUT_REFERENCES = [
+    # tau, y0, rate, value
+    (10.0, 0.1, 1e-4, 0.4945425286687061989312802),
+    (10.0, 0.01, 1e-4, 0.05034591879028606440505808),
+    (30.0, 0.01, 3.4e-5, 0.08727421482850907260591695),
+]
+
 
 def test_survival_reference():
     assert abs(cds1d.survival_1d(1.0, 1.0) - 0.6826894921370859) < 1e-15
@@ -92,6 +102,36 @@ def test_annuity_references(tau, y0, rate, want):
 @pytest.mark.parametrize("tau,y0,rate,want", NEAR_DEFAULT_REFERENCES)
 def test_annuity_near_default_references(tau, y0, rate, want):
     assert cds1d.annuity_1d(tau, y0, rate) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau,y0,rate,want", ABOVE_CUT_REFERENCES)
+def test_annuity_above_series_cut_references(tau, y0, rate, want):
+    assert rate * tau >= cds1d._SERIES_RATE_TAU
+    assert cds1d.annuity_1d(tau, y0, rate) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("tau,y0,rate,want", ABOVE_CUT_REFERENCES)
+def test_annuity_above_series_cut_matches_mpmath(tau, y0, rate, want):
+    # the same three names against live 40-digit quadrature
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        tau_m, y0_m, rate_m = mp.mpf(tau), mp.mpf(y0), mp.mpf(rate)
+        cuts = [tau_m * mp.mpf(10) ** k for k in range(-12, 1)]
+        ref = mp.quad(lambda u: mp.exp(-rate_m * u)
+                      * mp.erf(y0_m / mp.sqrt(2 * u)), [0] + cuts)
+        got = mp.mpf(cds1d.annuity_1d(tau, y0, rate))
+        assert abs(got / ref - 1) < 1e-14
+
+
+def test_annuity_branches_chosen_per_element():
+    # one call mixing the moment series, the Gaussian series and the
+    # closed form gives each element what its own scalar call gives
+    taus = np.array([0.01, 0.04, 0.06, 1.0, 5.0, 10.0])
+    ys = np.array([0.001, 0.01, 0.1, 0.5, 2.0, 8.0])
+    _, ann = cds1d._legs_1d(taus[:, None], ys[None, :], 0.02, 0.4)
+    for i, tau in enumerate(taus):
+        for j, y0 in enumerate(ys):
+            assert ann[i, j] == cds1d._legs_1d(tau, y0, 0.02, 0.4)[1]
 
 
 def test_annuity_riskless_limit_far_from_barrier():

@@ -253,6 +253,26 @@ def test_cva_quadrature_converged():
     assert math.isclose(base, fine, rel_tol=5e-6)
 
 
+def test_exposure_roots_match_scalar_brentq():
+    # the vectorised bisection against one brentq per time left; the
+    # value changes sign across each root, and a still-positive value at
+    # the top returns it
+    from scipy.optimize import brentq
+    terms = _five_year_terms()
+    tau_left = np.array([1e-4, 0.01, 0.3, 1.0, 2.5, 4.99])
+    y_hi = 12.0
+    roots = cds2d.exposure_root(tau_left, terms, y_hi)
+    for tau, root in zip(tau_left, roots):
+        want = brentq(lambda y: cds1d.cds_values_1d(tau, y, terms),
+                      1e-12 * y_hi, y_hi, xtol=1e-15, rtol=1e-15)
+        assert root == pytest.approx(want, rel=1e-14)
+        assert cds1d.cds_values_1d(tau, root * (1 - 1e-13), terms) > 0
+        assert cds1d.cds_values_1d(tau, root * (1 + 1e-13), terms) < 0
+    assert cds2d.exposure_root(2.0, terms, 0.5) == 0.5
+    free = CdsTerms(maturity=5.0, coupon=0.0, rate=0.02, recovery=0.4)
+    assert np.all(cds2d.exposure_root(tau_left, free, y_hi) == y_hi)
+
+
 def test_series_cap_warns():
     w = cds2d.to_wedge(1.0, 1.0, 0.0)
     with warnings.catch_warnings(record=True) as rec:

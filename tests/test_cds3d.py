@@ -549,6 +549,16 @@ class TestPricingGrid:
                 np.abs(terms_n)) * taper[:, None, None]
             assert np.all(diff <= bound + round_off)
 
+    def test_face_values_are_values_faces(self, basis_table1):
+        spec, basis = basis_table1
+        grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
+                                     TERMS, n_time=8, n_radial=16)
+        t = replace(TERMS, coupon=0.03)
+        for got, face in zip(grid.values(t), ("seller", "buyer")):
+            assert np.array_equal(grid.face_values(t, face), got)
+        with pytest.raises(ValueError):
+            grid.face_values(replace(TERMS, rate=0.03), "buyer")
+
     def test_values_reject_other_terms(self, basis_table1):
         spec, basis = basis_table1
         grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),

@@ -8,6 +8,7 @@ import pytest
 from tricva.model import CorrelationTriple, CdsTerms
 from tricva.cds1d import survival_1d
 from tricva.cds2d import survival_2d, to_wedge
+from tricva import mc_oracle
 from tricva.mc_oracle import (McConfig, McEstimate, richardson,
                               simulate_contract, simulate_cva_dva,
                               simulate_survival)
@@ -172,6 +173,69 @@ class TestContract:
             simulate_contract((1.0, 1.0), (0.0, 0.0, 0.0), TERMS,
                               _cfg(50, TERMS.maturity, n_paths=20_000),
                               recovery_seller=0.5, recovery_buyer=0.4)
+
+
+def _reference_walk(x0s, rho, horizon, cfg):
+    """The walker's earlier per-step loop, kept verbatim as a reference.
+
+    Each step masks the drivers that have not crossed yet by their
+    first-step array and finds the paths that first crossed at this
+    step by reducing it over the drivers.
+    """
+    dims = len(x0s)
+    chol = mc_oracle._correlation_cholesky(dims, rho)
+    n_steps = max(int(math.ceil(horizon / cfg.dt - 1e-12)), 50)
+    sq = math.sqrt(horizon / n_steps)
+    rng = np.random.default_rng(cfg.seed)
+    firsts, ats = [], []
+    for size in mc_oracle._chunk_sizes(cfg.n_paths, cfg.antithetic):
+        x = np.tile(x0s, (size, 1))
+        first_c = np.full((size, dims), n_steps + 1, dtype=np.int32)
+        at_c = x.copy()
+        half = size // 2
+        for k in range(1, n_steps + 1):
+            if cfg.antithetic:
+                g = rng.standard_normal((half, dims))
+                dw = np.concatenate([g, -g]) @ chol.T
+            else:
+                dw = rng.standard_normal((size, dims)) @ chol.T
+            x += sq * dw
+            hit = (x <= 0.0) & (first_c > n_steps)
+            if hit.any():
+                first_c[hit] = k
+                newly = first_c.min(axis=1) == k
+                at_c[newly] = x[newly]
+        firsts.append(first_c)
+        ats.append(at_c)
+    return (n_steps, mc_oracle._stack(firsts, cfg.antithetic),
+            mc_oracle._stack(ats, cfg.antithetic))
+
+
+_WALK_CASES = ([(1, 0.0)]
+               + [(2, r) for r in (0.0, 0.6, -0.7)]
+               + [(3, r) for r in ((0.0, 0.0, 0.0), (0.8, 0.5, 0.3),
+                                   (0.2, -0.1, -0.6))])
+
+
+class TestWalkAgainstReferenceLoop:
+    """_walk is bit for bit the reference loop: same draws, same
+    crossings. 40,000 paths make three chunks."""
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("n_steps", [50, 100])
+    @pytest.mark.parametrize("dims, rho", _WALK_CASES)
+    def test_walk_is_bit_identical(self, dims, rho, n_steps, antithetic):
+        x0s = np.array([0.9, 1.3, 0.7][:dims])
+        cfg = McConfig(n_paths=40_000, dt=1.0 / n_steps, seed=5,
+                       antithetic=antithetic)
+        assert len(list(mc_oracle._chunk_sizes(40_000, antithetic))) == 3
+        want = _reference_walk(x0s, rho, 1.0, cfg)
+        got = mc_oracle._walk(x0s, rho, 1.0, cfg)
+        assert got[0] == want[0] == n_steps
+        # the drivers start near their barriers: many paths cross
+        assert np.mean(want[1].min(axis=1) <= n_steps) > 0.3
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
 
 
 class TestValidation:
