@@ -327,8 +327,7 @@ def exposure_root(tau_left, terms, y_hi):
     return root if root.ndim else float(root)
 
 
-def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
-           n_radial=200, max_terms=_ORDER_CAP):
+def cva_2d(wedge, terms, recovery_seller, n_time=64, n_radial=200):
     """Unilateral credit adjustment when only seller and reference can fail.
 
     Integrates the discounted positive CDS exposure against the density
@@ -343,12 +342,12 @@ def cva_2d(wedge, terms, recovery_seller, horizon=None, n_time=64,
     Time nodes the diffusion cannot reach are skipped outright: their
     true flux underflows and a truncated series would leave pure noise.
     """
-    return _cva_2d_with_slope(wedge, terms, recovery_seller, horizon,
-                              n_time, n_radial, max_terms)[0]
+    return _cva_2d_with_slope(wedge, terms, recovery_seller, n_time,
+                              n_radial)[0]
 
 
-def _cva_2d_with_slope(wedge, terms, recovery_seller, horizon=None,
-                       n_time=64, n_radial=200, max_terms=_ORDER_CAP):
+def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
+                       n_radial=200):
     """cva_2d and its derivative in the coupon, from one quadrature.
 
     With V = D - coupon A the 1D value (cds1d._legs_1d),
@@ -359,7 +358,7 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, horizon=None,
     on the same nodes: the exposure vanishes at its root r*, so the
     root's move with the coupon adds nothing.
     """
-    T = terms.maturity if horizon is None else horizon
+    T = terms.maturity
     t_nodes, t_w = gauss_legendre(n_time, 0.0, T)
     r_hi = wedge.r0 + 8.0 * math.sqrt(T)
     r_lo = r_hi * 1e-6
@@ -377,7 +376,7 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, horizon=None,
             continue
         tau_left = T - t
         r_nodes, r_w = gauss_legendre(n_radial, r_lo, min(r_star, r_hi))
-        flux = _edge_flux_coefficients(t, r_nodes, wedge, max_terms)
+        flux = _edge_flux_coefficients(t, r_nodes, wedge, _ORDER_CAP)
         d, a = _legs_1d(tau_left, wedge.rho_bar * r_nodes, terms.rate,
                         terms.recovery)
         exposure = d - terms.coupon * a

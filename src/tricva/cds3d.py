@@ -178,7 +178,9 @@ def survival_3d(basis, tau, source, n_terms=None):
     Integrating the radial kernel against r^2 dr gives
     w^a Gamma(b - a) / Gamma(b) 1F1(a, b, -w) per mode, with
     a = nu/2 - 1/4, b = nu + 1 and w = r0^2 / 2 tau, evaluated in log
-    space. The angular integral contributes each mode's surface mass.
+    space for all modes at once (specfun.ln_hyp1f1_neg, which raises
+    ArithmeticError where 1F1 underflows). The angular integral
+    contributes each mode's surface mass.
 
     A buyer with z > 4 sqrt(tau) cannot default by tau: the result is
     then the seller-reference wedge survival_2d, which exceeds the
@@ -194,10 +196,8 @@ def survival_3d(basis, tau, source, n_terms=None):
     w = source.r0 ** 2 / (2.0 * tau)
     a = 0.5 * nu - 0.25
     b = nu + 1.0
-    ln_e = np.array([a[n] * math.log(w) + ln_gamma(b[n] - a[n])
-                     - ln_gamma(b[n]) + ln_hyp1f1_neg(a[n], b[n], w)
-                     for n in range(n_terms)])
-    radial = np.exp(ln_e)
+    radial = np.exp(a * math.log(w) + ln_gamma(b - a) - ln_gamma(b)
+                    + ln_hyp1f1_neg(a, b, w))
     psi0 = _source_weights(basis, source, n_terms)
     terms_n = psi0 * basis.s_n[:n_terms] * radial
     q = float(terms_n.sum())

@@ -31,7 +31,7 @@ OK, FAIL_VALIDATION, FAIL_CONFIG, FAIL_NUMERIC = 0, 1, 2, 3
 
 # npz cache layout, part of the cache key: bump it whenever the stored
 # arrays change, or the mesher gives a config different vertices
-_CACHE_LAYOUT = 4
+_CACHE_LAYOUT = 5
 
 # Table-1 style inputs: initial value is the log distance ln(a0/l0),
 # converted to driver units by each firm's volatility.
@@ -51,7 +51,7 @@ _DEFAULTS = {
     "maturities": [1.0, 2.0, 3.0, 4.0, 5.0],
     "mesh": {"n_points": 1500, "seed": 0},
     "series": {"n_terms": 160},
-    "quadrature": {"rule": "centroid", "n_time": 48, "n_radial": 200},
+    "quadrature": {"n_time": 48, "n_radial": 200},
     "mc": {"n_paths": 100000, "n_steps": 200, "seed": 7,
            "antithetic": True, "tolerance_se": 3.0},
 }
@@ -59,6 +59,16 @@ _DEFAULTS = {
 
 class ConfigError(ValueError):
     """Bad config file or flag: schema, types, or module invariants."""
+
+
+def _finite_number(val):
+    # json.load reads NaN and Infinity as floats, and integers of any size
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _merge(base, override, path=""):
@@ -76,8 +86,8 @@ def _merge(base, override, path=""):
                 raise ConfigError("%r must be a boolean" % (path + key))
             out[key] = val
         elif isinstance(cur, (int, float)):
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError("%r must be a number" % (path + key))
+            if not _finite_number(val):
+                raise ConfigError("%r must be a finite number" % (path + key))
             out[key] = type(cur)(val)
         elif isinstance(cur, str):
             if not isinstance(val, str):
@@ -85,10 +95,9 @@ def _merge(base, override, path=""):
             out[key] = val
         elif isinstance(cur, list):
             if (not isinstance(val, list) or not val
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool) for v in val)):
-                raise ConfigError("%r must be a non-empty list of numbers"
-                                  % (path + key))
+                    or not all(_finite_number(v) for v in val)):
+                raise ConfigError("%r must be a non-empty list of finite "
+                                  "numbers" % (path + key))
             out[key] = [float(v) for v in val]
     return out
 
@@ -162,8 +171,6 @@ def load_config(path=None, points=None, terms=None, seed=None):
         raise ConfigError("mesh.n_points must be at least 50")
     if raw["series"]["n_terms"] < 1:
         raise ConfigError("series.n_terms must be positive")
-    if raw["quadrature"]["rule"] not in ("centroid", "midedge"):
-        raise ConfigError("quadrature.rule must be centroid or midedge")
     if raw["quadrature"]["n_time"] < 4 or raw["quadrature"]["n_radial"] < 8:
         raise ConfigError("quadrature nodes too few to integrate the legs")
     if raw["mc"]["n_paths"] < 10000:
@@ -185,14 +192,13 @@ def config_hash(cfg):
 
 
 def cache_key(cfg):
-    """Identity of the eigenbasis inputs: geometry, mesh, quadrature.
+    """Identity of the eigenbasis inputs: geometry and mesh.
 
     layout numbers the npz contents, so entries of an older layout are
     never read. mesh.seed is left out: the mesher ignores it.
     """
     sub = {"layout": _CACHE_LAYOUT,
-           "rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"],
-           "quadrature": cfg.quadrature["rule"]}
+           "rho": cfg.raw["rho"], "n_points": cfg.mesh["n_points"]}
     return hashlib.sha256(_canonical(sub).encode()).hexdigest()[:16]
 
 
@@ -203,7 +209,6 @@ def _basis_from_npz(data):
                        h0=float(data["h0"]))
     return fem.EigenBasis(mesh=mesh, lam2=data["lam2"], psi=data["psi"],
                           s_n=data["s_n"],
-                          quadrature=str(data["quadrature"]),
                           boundary_residual=data["boundary_residual"])
 
 
@@ -221,14 +226,12 @@ def ensure_basis(cfg, cache_dir):
         log.info("cache entry %s holds too few modes; rebuilding", key)
     spec = build_domain(cfg.corr)
     mesh = build_mesh(spec, n_points=cfg.mesh["n_points"])
-    basis = fem.build_basis(mesh, n_modes=want,
-                            quadrature=cfg.quadrature["rule"])
+    basis = fem.build_basis(mesh, n_modes=want)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, vertices=mesh.vertices,
                         triangles=mesh.triangles,
                         boundary_mask=mesh.boundary_mask, h0=mesh.h0,
                         lam2=basis.lam2, psi=basis.psi, s_n=basis.s_n,
-                        quadrature=basis.quadrature,
                         boundary_residual=basis.boundary_residual,
                         n_modes=basis.n_modes)
     log.info("cached eigenbasis %s (%d modes)", key, basis.n_modes)

@@ -47,7 +47,7 @@ class DomainSpec:
         return math.sqrt(1.0 - self.rho_yz ** 2)
 
 
-def build_domain(corr, theta_floor=THETA_FLOOR):
+def build_domain(corr):
     """Validate the correlations and assemble the chart geometry.
 
     The construction is checked on the spot: points on each chart face
@@ -58,11 +58,11 @@ def build_domain(corr, theta_floor=THETA_FLOOR):
     spec = DomainSpec(rho_xy=corr.rho_xy, rho_xz=corr.rho_xz,
                       rho_yz=corr.rho_yz,
                       varpi=math.acos(-corr.rho_xy), chi=corr.chi(),
-                      theta_floor=theta_floor)
+                      theta_floor=THETA_FLOOR)
     # the face must clear the floor at every azimuth, ends included, and
     # stand well off the pole at mid-azimuth (index 128 of 257)
     cap = theta_max_at(spec, np.linspace(0.0, spec.varpi, 257))
-    if np.min(cap) <= theta_floor or cap[128] < 10.0 * theta_floor:
+    if np.min(cap) <= THETA_FLOOR or cap[128] < 10.0 * THETA_FLOOR:
         raise ValueError("buyer face collapses onto the pole; correlations "
                          "too extreme for the chart")
     _check_orientation(spec)

@@ -41,34 +41,18 @@ def _triangle_geometry(mesh):
     return p1, p2, p3, 0.5 * np.abs(a2), gphi, gth
 
 
-def _assemble_full(mesh, quadrature="centroid"):
-    """Sparse (CSR) K and M over all vertices, boundary rows included."""
-    if quadrature not in ("centroid", "midedge"):
-        raise ValueError("quadrature must be 'centroid' or 'midedge'")
-    p1, p2, p3, area, gphi, gth = _triangle_geometry(mesh)
-    theta = np.stack([p1[:, 1], p2[:, 1], p3[:, 1]], axis=1)
+def _assemble_full(mesh):
+    """Sparse (CSR) K and M over all vertices, boundary rows included.
 
-    if quadrature == "centroid":
-        s = np.sin(theta.mean(axis=1))
-        ke = area[:, None, None] * (
-            gphi[:, :, None] * gphi[:, None, :] / s[:, None, None]
-            + gth[:, :, None] * gth[:, None, :] * s[:, None, None])
-        me = (area * s / 9.0)[:, None, None] * np.ones((1, 3, 3))
-    else:
-        mid = 0.5 * np.stack([theta[:, 0] + theta[:, 1],
-                              theta[:, 1] + theta[:, 2],
-                              theta[:, 2] + theta[:, 0]], axis=1)
-        sq = np.sin(mid)
-        hats = np.array([[0.5, 0.5, 0.0],
-                         [0.0, 0.5, 0.5],
-                         [0.5, 0.0, 0.5]])
-        wsum = sq.mean(axis=1)
-        winv = (1.0 / sq).mean(axis=1)
-        ke = area[:, None, None] * (
-            gphi[:, :, None] * gphi[:, None, :] * winv[:, None, None]
-            + gth[:, :, None] * gth[:, None, :] * wsum[:, None, None])
-        me = area[:, None, None] / 3.0 * np.einsum(
-            "tq,qi,qj->tij", sq, hats, hats)
+    The metric weights sin(theta) and 1/sin(theta) are taken at each
+    triangle's centroid.
+    """
+    p1, p2, p3, area, gphi, gth = _triangle_geometry(mesh)
+    s = np.sin((p1[:, 1] + p2[:, 1] + p3[:, 1]) / 3.0)
+    ke = area[:, None, None] * (
+        gphi[:, :, None] * gphi[:, None, :] / s[:, None, None]
+        + gth[:, :, None] * gth[:, None, :] * s[:, None, None])
+    me = (area * s / 9.0)[:, None, None] * np.ones((1, 3, 3))
 
     # element entry (t, i, j) lands on (tri[t, i], tri[t, j]); the CSR
     # conversion sums the duplicates
@@ -85,12 +69,12 @@ def _free_block(A, mesh):
     return A[np.ix_(idx, idx)].toarray()
 
 
-def assemble(mesh, quadrature="centroid"):
+def assemble(mesh):
     """Dense stiffness and mass over the free (interior) vertices.
 
     Dirichlet rows and columns are eliminated.
     """
-    K, M = _assemble_full(mesh, quadrature)
+    K, M = _assemble_full(mesh)
     return _free_block(K, mesh), _free_block(M, mesh)
 
 
@@ -109,7 +93,6 @@ class EigenBasis:
     lam2: np.ndarray       # (k,) ascending
     psi: np.ndarray        # (n_vertices, k)
     s_n: np.ndarray        # (k,)
-    quadrature: str
     boundary_residual: np.ndarray = field(repr=False)  # (n_boundary, k)
     _locator: object = field(repr=False, default=None, compare=False)
 
@@ -123,12 +106,12 @@ class EigenBasis:
         return np.sqrt(self.lam2 + 0.25)
 
 
-def solve_eig(K, M, mesh, n_modes=50, quadrature="centroid"):
+def solve_eig(K, M, mesh, n_modes=50):
     """Lowest generalized eigenpairs with Dirichlet chart edges.
 
-    K and M are the all-vertex sparse matrices from _assemble_full (same
-    quadrature setting); their free block is solved densely and their
-    boundary rows give the stored residuals.
+    K and M are the all-vertex sparse matrices from _assemble_full; their
+    free block is solved densely and their boundary rows give the stored
+    residuals.
     """
     n = len(mesh.vertices)
     idx = np.nonzero(~mesh.boundary_mask)[0]
@@ -159,13 +142,13 @@ def solve_eig(K, M, mesh, n_modes=50, quadrature="centroid"):
     bnd = np.nonzero(mesh.boundary_mask)[0]
     residual = K[bnd] @ psi - (M[bnd] @ psi) * lam2
     return EigenBasis(mesh=mesh, lam2=lam2, psi=psi, s_n=s_n,
-                      quadrature=quadrature, boundary_residual=residual)
+                      boundary_residual=residual)
 
 
-def build_basis(mesh, n_modes=50, quadrature="centroid"):
+def build_basis(mesh, n_modes=50):
     """Assemble once and solve."""
-    K, M = _assemble_full(mesh, quadrature)
-    return solve_eig(K, M, mesh, n_modes=n_modes, quadrature=quadrature)
+    K, M = _assemble_full(mesh)
+    return solve_eig(K, M, mesh, n_modes=n_modes)
 
 
 class _Locator:

@@ -28,11 +28,12 @@ class FirmInput:
     recovery: float
 
     def __post_init__(self):
-        if self.volatility <= 0:
+        # written as "not x > 0" so that NaN fails too
+        if not self.volatility > 0:
             raise ValueError("volatility must be positive")
         if not 0 <= self.recovery < 1:
             raise ValueError("recovery must be in [0, 1)")
-        if self.equity <= 0 or self.liabilities <= 0:
+        if not (self.equity > 0 and self.liabilities > 0):
             raise ValueError("equity and liabilities must be positive")
 
 
@@ -42,7 +43,7 @@ class DriverState:
     x0: float
 
     def __post_init__(self):
-        if self.x0 <= 0:
+        if not self.x0 > 0:
             raise ValueError("driver must start strictly above the barrier")
 
 
@@ -72,9 +73,11 @@ class CdsTerms:
     recovery: float
 
     def __post_init__(self):
-        if self.maturity <= 0:
+        if not self.maturity > 0:
             raise ValueError("maturity must be positive")
-        if self.rate < 0:
+        if not math.isfinite(self.coupon):
+            raise ValueError("coupon must be finite")
+        if not self.rate >= 0:
             raise ValueError("rate must be non-negative")
         if not 0 <= self.recovery < 1:
             raise ValueError("recovery must be in [0, 1)")

@@ -176,7 +176,7 @@ class TestGreen3d:
         spec, basis = octant_basis
         src = _source(octant_basis)
         verts = basis.mesh.vertices
-        _, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        _, M = fem._assemble_full(basis.mesh)
         one_m = M.sum(axis=0)
         r_nodes, r_w = gauss_legendre(200, 1e-9, src.r0 + 12.0)
         with warnings.catch_warnings():
@@ -374,7 +374,7 @@ class TestVariationalFluxes:
         # row sums of the stiffness vanish, so summing the residual over
         # every vertex must give -lambda^2 times the mode's surface mass
         _, basis = basis_table1
-        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        K, M = fem._assemble_full(basis.mesh)
         resid = K @ basis.psi - M @ basis.psi * basis.lam2
         total = resid.sum(axis=0)
         target = -basis.lam2 * basis.s_n

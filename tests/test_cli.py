@@ -255,3 +255,16 @@ class TestExitCodes:
         path.write_text('{"mesh": {"n_points": "plenty"}}')
         assert _run(tmp_path, "eig", str(path)) == cli.FAIL_CONFIG
         assert "number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"firms": {"X": {"equity": float("nan")}}},
+        {"maturities": [float("inf")]},
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, config):
+        # json reads the NaN and Infinity literals that json.dumps writes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert _run(tmp_path, "price", str(path)) == cli.FAIL_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not list(tmp_path.rglob("*.npz"))

@@ -53,7 +53,7 @@ class TestOctantSpectrum:
         exact = (np.sin(theta) ** 2 * np.cos(theta) * np.sin(2 * phi)
                  / np.sqrt(2 * np.pi / 105.0))
         diff = basis.psi[:, 0] - exact
-        _, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        _, M = fem._assemble_full(basis.mesh)
         err = np.sqrt(diff @ M @ diff)
         assert err < 0.03
 
@@ -61,13 +61,13 @@ class TestOctantSpectrum:
 class TestBasisProperties:
     def test_mass_orthonormal(self, octant_small):
         _, _, basis = octant_small
-        _, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        _, M = fem._assemble_full(basis.mesh)
         gram = basis.psi.T @ M @ basis.psi
         assert np.abs(gram - np.eye(basis.n_modes)).max() < 1e-10
 
     def test_interior_rows_solve_the_problem(self, octant_small):
         _, mesh, basis = octant_small
-        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        K, M = fem._assemble_full(basis.mesh)
         resid = K @ basis.psi - M @ basis.psi * basis.lam2
         inner = ~mesh.boundary_mask
         scale = np.abs(resid[mesh.boundary_mask]).max()
@@ -92,7 +92,7 @@ class TestBasisProperties:
 
     def test_stored_rows_are_boundary_residuals(self, octant_small):
         _, mesh, basis = octant_small
-        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        K, M = fem._assemble_full(basis.mesh)
         resid = K @ basis.psi - M @ basis.psi * basis.lam2
         want = resid[mesh.boundary_mask]
         assert basis.boundary_residual.shape == want.shape
@@ -114,20 +114,6 @@ class TestBasisProperties:
     def test_rejects_too_many_modes(self, tiny_mesh):
         with pytest.raises(ValueError):
             fem.build_basis(tiny_mesh, n_modes=10_000)
-
-    def test_midedge_quadrature_agrees(self, tiny_mesh):
-        # same O(h^2) limit, different constants; only low modes are
-        # well resolved on this coarse mesh
-        b1 = fem.build_basis(tiny_mesh, n_modes=8, quadrature="centroid")
-        b2 = fem.build_basis(tiny_mesh, n_modes=8, quadrature="midedge")
-        assert b2.lam2[:4] == pytest.approx(b1.lam2[:4], rel=0.05)
-        _, M = fem._assemble_full(b2.mesh, b2.quadrature)
-        gram = b2.psi.T @ M @ b2.psi
-        assert np.abs(gram - np.eye(8)).max() < 1e-10
-
-    def test_rejects_unknown_quadrature(self, tiny_mesh):
-        with pytest.raises(ValueError):
-            fem.assemble(tiny_mesh, quadrature="gauss7")
 
     def test_mismatched_matrices_rejected(self, tiny_mesh):
         K, M = fem._assemble_full(tiny_mesh)
@@ -229,7 +215,7 @@ class TestAgainstJacobiRotations:
     def test_generalized_eigenvalues_match(self, tiny_mesh):
         mesh = tiny_mesh
         basis = fem.build_basis(mesh, n_modes=8)
-        K, M = fem._assemble_full(basis.mesh, basis.quadrature)
+        K, M = fem._assemble_full(basis.mesh)
         idx = np.nonzero(~mesh.boundary_mask)[0]
         Kii = K[np.ix_(idx, idx)].toarray()
         Mii = M[np.ix_(idx, idx)].toarray()

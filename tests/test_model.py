@@ -75,3 +75,18 @@ def test_validate_correlations_near_singular_boundary():
     # just inside the admissible set: chi small but above the floor
     c = CorrelationTriple(0.7, 0.7, 0.0)
     assert validate_correlations(c) is c
+
+
+def test_nan_inputs_rejected():
+    nan = float("nan")
+    for field in ("equity", "liabilities", "volatility"):
+        args = dict(equity=1.0, liabilities=1.0, volatility=0.2,
+                    recovery=0.4)
+        args[field] = nan
+        with pytest.raises(ValueError):
+            FirmInput(**args)
+    for field in ("maturity", "coupon", "rate"):
+        args = dict(maturity=5.0, coupon=0.01, rate=0.02, recovery=0.4)
+        args[field] = nan
+        with pytest.raises(ValueError):
+            CdsTerms(**args)

@@ -1,6 +1,7 @@
 """Special function checks against independently computed references.
 
-Reference constants were produced with mpmath at 25 significant digits.
+Reference constants were produced with mpmath at 25 significant digits,
+the ln 1F1 grid at 40 digits.
 """
 
 import math
@@ -87,12 +88,9 @@ def test_bessel_scaled_large_argument_bounded():
 
 
 def test_hyp1f1_references():
-    # 1F1(1, 2, 1) = e - 1 by the direct series
-    assert math.isclose(math.exp(specfun._kummer_series(1.0, 2.0, 1.0)[0]),
-                        1.7182818284590452, rel_tol=1e-14)
     assert math.isclose(math.exp(specfun.ln_hyp1f1_neg(0.5, 2.0, 1.0)),
                         0.80145607363402177, rel_tol=1e-13)
-    # deep negative axis, Kummer branch
+    # deep negative axis
     assert math.isclose(math.exp(specfun.ln_hyp1f1_neg(0.5, 2.0, 300.0)),
                         0.065092644272766992, rel_tol=1e-12)
 
@@ -105,13 +103,122 @@ def test_ln_hyp1f1_both_branches():
                         -33.751494114449852, rel_tol=1e-12)
 
 
-def test_ln_hyp1f1_branch_consistency():
-    # at the switchover both evaluation routes must agree to near roundoff
-    for (a, b) in [(0.9, 3.2), (7.3, 15.6), (14.75, 30.5)]:
-        for w in (1500.0, 2000.0, 2500.0):
-            series = specfun._kummer_series(b - a, b, w)[0] - w
-            asym = specfun._asymptotic_ln(a, b, w)
-            assert math.isclose(series, asym, rel_tol=1e-10)
+# ln 1F1(a, b, -w) with a = nu/2 - shift and b = nu + 1, keyed by
+# (nu, shift): shift 1/4 is survival_3d's kernel, shift 0 is
+# survival_2d_1f1's. One value per entry of _REF_W, which spans both
+# sides of w = 2000.
+_REF_W = (1e-4, 0.37, 8.5, 140.0, 650.0, 1900.0, 2100.0, 3200.0, 1e4, 1e5)
+LN_HYP1F1_REFERENCES = {
+    (0.6, 0.25): [
+        -3.1249417828616778626e-6, -0.010814048232122902591,
+        -0.10513401305960043238, -0.24206452396554273416,
+        -0.3186765631854274611, -0.37228055489959701841,
+        -0.37728334903560488897, -0.3983395199132410883,
+        -0.45530538971982698999, -0.57043216930146013111,
+    ],
+    (0.6, 0.0): [
+        -0.000018749707034640825283, -0.065532855283007583857,
+        -0.65778817317446254942, -1.4875548572474021261,
+        -1.9476472333124884393, -2.2693470866300449274,
+        -2.2993676106554819518, -2.4257169122215216688,
+        -2.7675280682318073156, -3.4582954956844637401,
+    ],
+    (1.7, 0.25): [
+        -0.000022221988657162542262, -0.079117108858308032805,
+        -0.97459032124826037497, -2.5803253495609547674,
+        -3.4978163778428132499, -4.1407300981124045126,
+        -4.2007470822476750109, -4.4533671042759559424,
+        -5.1368874097251097896, -6.5183790638880173759,
+    ],
+    (1.7, 0.0): [
+        -0.000031481189987813949257, -0.11256974326752894949,
+        -1.4189207553277736916, -3.7148309512157781032,
+        -5.0157945363953251837, -5.9268037869786255511,
+        -6.0118384930484162759, -6.3697516253325967703,
+        -7.3381172031178009444, -9.2952495035860573246,
+    ],
+    (5.3, 0.25): [
+        -0.000038095076569749469116, -0.13875714330604738043,
+        -2.3103707162742707055, -8.269976981040073811, -11.915682886522651419,
+        -14.482963091773567466, -14.722814433239023973,
+        -15.732587240189569302, -18.4657503677454046, -23.991328173719510742,
+    ],
+    (5.3, 0.0): [
+        -0.000042063325145085579833, -0.15336108641026482796,
+        -2.5799949845378570881, -9.2084491707689880257,
+        -13.237550185478231325, -16.072922621331824726,
+        -16.337791605497551547, -17.452857319187253689,
+        -20.470865580950928397, -26.572084017635524446,
+    ],
+    (21.4, 0.25): [
+        -0.00004665173253503345698, -0.17188409634732258066,
+        -3.5923825266194346299, -23.226553230203493251,
+        -38.629645384332601499, -49.722838090642199525,
+        -50.762973244994287261, -55.145919906234656146,
+        -67.028689942324182724, -91.080405410236638672,
+    ],
+    (21.4, 0.0): [
+        -0.000047767803830523086665, -0.17601157564837431648,
+        -3.6844778600148278109, -23.857044961962415358,
+        -39.642223331650344371, -51.003452006532753246,
+        -52.068603452097331835, -56.556839548612991699,
+        -68.724452362716635483, -93.351808195317738842,
+    ],
+    (63.0, 0.25): [
+        -0.000048828105779795003643, -0.18040096196644381932,
+        -4.0120877290648386304, -41.090532544099226811,
+        -83.610507413646542484, -116.12679832498934578,
+        -119.20467264579250585, -132.20517518926123153,
+        -167.60164463799246087, -239.46812979104392783,
+    ],
+    (63.0, 0.0): [
+        -0.000049218730773926087056, -0.18184618644694882284,
+        -4.0451565502238077743, -41.470868452921791786,
+        -84.363015012995604313, -117.1468841597259719, -120.2497637414548708,
+        -133.35552738001101086, -169.03682036518834451,
+        -241.47894371017999275,
+    ],
+    (160.0, 0.25): [
+        -0.000049534153775303648985, -0.18317077552581698547,
+        -4.154697066053344313, -55.425502705517230103, -145.6250901058068677,
+        -224.73389474151205586, -232.39518674845784451,
+        -264.94020192993981678, -354.4503620317998579, -537.50552662358016646,
+    ],
+    (160.0, 0.0): [
+        -0.000049689433278037134748, -0.18374530409700709985,
+        -4.1678871303767557618, -55.621794712624357128,
+        -146.15068747783154218, -225.52431862196706924,
+        -233.21054825564914079, -265.86065046561813121,
+        -355.65551567976091945, -539.28630507877334348,
+    ],
+}
+
+
+@pytest.mark.parametrize("nu, shift", sorted(LN_HYP1F1_REFERENCES))
+def test_ln_hyp1f1_matches_frozen_references(nu, shift):
+    got = specfun.ln_hyp1f1_neg(0.5 * nu - shift, nu + 1.0,
+                                np.array(_REF_W))
+    np.testing.assert_allclose(got, LN_HYP1F1_REFERENCES[nu, shift],
+                               rtol=0, atol=2e-12)
+
+
+def test_ln_hyp1f1_refuses_underflow():
+    # ln 1F1(400, 801, -1e6) is about -2975, far below the double range
+    with pytest.raises(ArithmeticError, match="a=400"):
+        specfun.ln_hyp1f1_neg(400.0, 801.0, 1e6)
+
+
+def test_ln_hyp1f1_array_call_equals_scalar_calls():
+    nu = np.array([0.6, 4.2, 37.0, 160.0])
+    w = np.array([[0.3], [900.0], [2500.0], [4e4]])
+    got = specfun.ln_hyp1f1_neg(0.5 * nu - 0.25, nu + 1.0, w)
+    assert got.shape == (4, 4)
+    for i in range(4):
+        for j in range(4):
+            want = specfun.ln_hyp1f1_neg(0.5 * nu[j] - 0.25, nu[j] + 1.0,
+                                         float(w[i, 0]))
+            assert isinstance(want, float)
+            assert got[i, j] == want
 
 
 @settings(max_examples=100)
