@@ -29,6 +29,9 @@ _SERIES_TERMS = 6
 # s / (rate A) ulps, s the default probability; where that passes this
 # bound (1e-14 relative) the annuity's Gaussian series is used instead.
 _CANCEL_ULPS = 45.0
+# Cutoff wavenumber and Gauss-Legendre nodes of green_1d_integral.
+_SINE_CUTOFF = 40.0
+_SINE_NODES = 2000
 
 
 def green_1d_images(tau, y0, y):
@@ -47,18 +50,19 @@ def green_1d_images(tau, y0, y):
     return out if out.ndim else float(out)
 
 
-def green_1d_integral(tau, y0, y, k_max=40.0, n_nodes=2000):
+def green_1d_integral(tau, y0, y):
     """Same density via the sine-transform representation.
 
-    g = (2/pi) int_0^kmax e^(-k^2 tau/2) sin(k y0) sin(k y) dk, evaluated by
-    Gauss-Legendre. The integrand dies like e^(-k^2 tau/2), so k_max ~
-    sqrt(80/tau) suffices; the default covers tau >= 0.05.
+    g = (2/pi) int_0^K e^(-k^2 tau/2) sin(k y0) sin(k y) dk, evaluated by
+    Gauss-Legendre on _SINE_NODES nodes. The integrand dies like
+    e^(-k^2 tau/2), so K ~ sqrt(80/tau) suffices; K = _SINE_CUTOFF
+    covers tau >= 0.05.
 
     Kept as an independent route for validating the image construction.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    k, w = gauss_legendre(n_nodes, 0.0, k_max)
+    k, w = gauss_legendre(_SINE_NODES, 0.0, _SINE_CUTOFF)
     y = np.asarray(y, dtype=float)
     vals = np.exp(-0.5 * k * k * tau) * np.sin(k * y0) * np.sin(
         np.multiply.outer(y, k))

@@ -11,11 +11,13 @@ kept deliberately: an eigenfunction series in the wedge angle, and a sum
 of free-space kernels over reflected sources. They validate each other and
 the survival series.
 
-Every Bessel series here stops at the order _order_cutoff(z). The CVA's
-seller-edge flux is a (radius, order) grid evaluated on its live cells
-only (_live_cells), the rule the three-name radial kernel shares; the
-CVA quadrature also returns its exact derivative in the coupon, which
-the break-even root of a far buyer steps on.
+Every Bessel series here keeps its orders up to the first at or past
+_order_cutoff(z), and no more than _ORDER_CAP of them (_series_length,
+which warns once when the cap cuts a series). The CVA's seller-edge
+flux is a (radius, order) grid evaluated on its live cells only
+(_live_cells), the rule the three-name radial kernel shares; the CVA
+quadrature also returns its exact derivative in the coupon, which the
+break-even root of a far buyer steps on.
 """
 
 import math
@@ -39,6 +41,10 @@ _REACH_EXPONENT = 800.0
 # grid's largest are skipped: with ive <= 1 they hold at most that
 # fraction of the largest row's scale.
 _DEAD_PREFACTOR = 1e-16
+# Gauss-Legendre nodes of the diffraction integral in _f_wedge.
+_H_NODES = 600
+# Term cap of the reference 1F1 survival series (survival_2d_1f1).
+_1F1_MAX_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,19 @@ def _order_cutoff(z):
     return 5.0 + 9.0 * np.sqrt(np.maximum(z, 0.0))
 
 
+def _series_length(z, first, step, what):
+    """Number of terms of a Bessel series whose k-th order is
+    first + k step (k = 0, 1, ...): up to and including the first order
+    at or past _order_cutoff(z), and at most _ORDER_CAP, with one
+    RuntimeWarning naming the series when the cap cuts it."""
+    n = int(math.ceil((_order_cutoff(z) - first) / step)) + 1
+    if n > _ORDER_CAP:
+        warnings.warn("%s series truncated at order cap" % what,
+                      RuntimeWarning, stacklevel=3)
+        n = _ORDER_CAP
+    return n
+
+
 def _live_cells(pref, z, nu):
     """Flat (row, order) indices of the Bessel cells a kernel grid needs.
 
@@ -125,12 +144,9 @@ def green_2d_eigen(tau, r, phi, wedge, n_terms=None):
     phi = np.asarray(phi, dtype=float)
     z = r * wedge.r0 / tau
     if n_terms is None:
-        nu_stop = _order_cutoff(float(np.max(z)))
-        n_terms = int(math.ceil(nu_stop * wedge.varpi / math.pi))
-        if n_terms > _ORDER_CAP:
-            warnings.warn("eigenfunction series truncated at order cap",
-                          RuntimeWarning, stacklevel=2)
-            n_terms = _ORDER_CAP
+        step = math.pi / wedge.varpi
+        n_terms = _series_length(float(np.max(z)), step, step,
+                                 "eigenfunction")
     n = np.arange(1, n_terms + 1)
     nu = n * math.pi / wedge.varpi
     shape_z = np.broadcast_shapes(z.shape, phi.shape)
@@ -144,7 +160,7 @@ def green_2d_eigen(tau, r, phi, wedge, n_terms=None):
     return out if out.ndim else float(out)
 
 
-def _f_wedge(p, q, n_nodes):
+def _f_wedge(p, q):
     """f(p, q) = 1 - (1/2pi) int_R exp(-p(cosh(2 q z) - cos q))/(z^2+1/4) dz.
 
     Even in q, f(p, 0) = f(0, q) = 0. The Lorentzian is flattened by
@@ -164,13 +180,13 @@ def _f_wedge(p, q, n_nodes):
         return 1.0
     zc = math.acosh(c) / (2.0 * q)
     uc = math.atan(2.0 * zc)
-    u, w = gauss_legendre(n_nodes, 0.0, uc)
+    u, w = gauss_legendre(_H_NODES, 0.0, uc)
     ex = -p * (np.cosh(q * np.tan(u)) - math.cos(q))
     integral = 4.0 * np.sum(w * np.exp(ex))
     return 1.0 - integral / (2.0 * math.pi)
 
 
-def h_kernel(p, q, n_nodes=600):
+def h_kernel(p, q):
     """Wedge correction kernel h(p, q) of the reflected-source density.
 
     h(p, q) = [sign(pi+q) f(p, pi+q) + sign(pi-q) f(p, pi-q)] / 2.
@@ -181,20 +197,20 @@ def h_kernel(p, q, n_nodes=600):
     """
     sp = 1.0 if math.pi + q >= 0 else -1.0
     sm = 1.0 if math.pi - q >= 0 else -1.0
-    return 0.5 * (sp * _f_wedge(p, math.pi + q, n_nodes)
-                  + sm * _f_wedge(p, math.pi - q, n_nodes))
+    return 0.5 * (sp * _f_wedge(p, math.pi + q)
+                  + sm * _f_wedge(p, math.pi - q))
 
 
-def _free_kernel_factor(tau, r, r0, psi, p, n_nodes):
+def _free_kernel_factor(tau, r, r0, psi, p):
     # exp(-(r^2+r0^2-2 r r0 cos psi)/2tau) h(p, psi) / (2 pi tau) with the
     # exponent written against (r-r0)^2 so it never overflows
     ex = -0.5 * ((r - r0) ** 2 + 2.0 * r * r0 * (1.0 - math.cos(psi))) / tau
     if ex < -_REACH_EXPONENT:
         return 0.0
-    return math.exp(ex) * h_kernel(p, psi, n_nodes) / (2.0 * math.pi * tau)
+    return math.exp(ex) * h_kernel(p, psi) / (2.0 * math.pi * tau)
 
 
-def green_2d_images(tau, r, phi, wedge, n_images=None, n_nodes=600):
+def green_2d_images(tau, r, phi, wedge):
     """Absorbed transition density as a sum over reflected sources.
 
     Sources at phi0 + 2 n varpi carry weight +1 and mirrored sources at
@@ -205,50 +221,43 @@ def green_2d_images(tau, r, phi, wedge, n_images=None, n_nodes=600):
         raise ValueError("tau must be positive")
     r = float(r)
     phi = float(phi)
-    if n_images is None:
-        # reflected-pair contributions fall off ~ 1/n^3; this count keeps the
-        # truncation tail under ~2e-7 even for slow kernels (small r r0/tau)
-        n_images = int(math.ceil(24.0 * math.pi / wedge.varpi))
+    # reflected-pair contributions fall off ~ 1/n^3; this count keeps the
+    # truncation tail under ~2e-7 even for slow kernels (small r r0/tau)
+    n_pairs = int(math.ceil(24.0 * math.pi / wedge.varpi))
     p = r * wedge.r0 / tau
     total = 0.0
-    for n in range(-n_images, n_images + 1):
+    for n in range(-n_pairs, n_pairs + 1):
         psi_pos = phi - (wedge.phi0 + 2.0 * n * wedge.varpi)
         psi_neg = phi - (-wedge.phi0 + 2.0 * n * wedge.varpi)
-        total += _free_kernel_factor(tau, r, wedge.r0, psi_pos, p, n_nodes)
-        total -= _free_kernel_factor(tau, r, wedge.r0, psi_neg, p, n_nodes)
+        total += _free_kernel_factor(tau, r, wedge.r0, psi_pos, p)
+        total -= _free_kernel_factor(tau, r, wedge.r0, psi_neg, p)
     return total
 
 
-def survival_2d(tau, wedge, max_terms=500):
+def survival_2d(tau, wedge):
     """Joint survival probability, Bessel representation.
 
     Q = (2 r0 / sqrt(2 pi tau)) sum_k sin(nu phi0)/(2k+1)
         [ive((nu-1)/2, z) + ive((nu+1)/2, z)],  nu = (2k+1) pi / varpi,
 
     with z = r0^2 / 4 tau; the exponential prefactor of the unscaled
-    Bessel functions cancels exactly against e^(-z).
+    Bessel functions cancels exactly against e^(-z). The terms run up
+    to the first order (nu-1)/2 at or past _order_cutoff(z).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     z = wedge.r0 ** 2 / (4.0 * tau)
-    nu_stop = _order_cutoff(z)
     pref = 2.0 * wedge.r0 / math.sqrt(2.0 * math.pi * tau)
-    total = 0.0
-    for k in range(max_terms):
-        nu = (2 * k + 1) * math.pi / wedge.varpi
-        term = (math.sin(nu * wedge.phi0) / (2 * k + 1)
-                * (bessel_i_scaled(0.5 * (nu - 1.0), z)
-                   + bessel_i_scaled(0.5 * (nu + 1.0), z)))
-        total += term
-        if 0.5 * (nu - 1.0) > nu_stop:
-            break
-    else:
-        warnings.warn("survival series hit the term cap", RuntimeWarning,
-                      stacklevel=2)
-    return pref * total
+    step = math.pi / wedge.varpi
+    k = np.arange(_series_length(z, 0.5 * (step - 1.0), step, "survival"))
+    nu = (2 * k + 1) * step
+    terms = (np.sin(nu * wedge.phi0) / (2 * k + 1)
+             * (bessel_i_scaled(0.5 * (nu - 1.0), z)
+                + bessel_i_scaled(0.5 * (nu + 1.0), z)))
+    return pref * float(terms.sum())
 
 
-def survival_2d_1f1(tau, wedge, max_terms=500):
+def survival_2d_1f1(tau, wedge):
     """Joint survival probability, confluent hypergeometric representation.
 
     Q = sum_k (4 sin(nu phi0) / ((2k+1) pi)) w^(nu/2)
@@ -263,7 +272,7 @@ def survival_2d_1f1(tau, wedge, max_terms=500):
     lw = math.log(w)
     total = 0.0
     nu_stop = 2.0 * _order_cutoff(w / 2.0)  # comparable reach to Bessel form
-    for k in range(max_terms):
+    for k in range(_1F1_MAX_TERMS):
         nu = (2 * k + 1) * math.pi / wedge.varpi
         ln_mag = (0.5 * nu * lw + ln_gamma(1.0 + 0.5 * nu)
                   - ln_gamma(1.0 + nu) + ln_hyp1f1_neg(0.5 * nu, 1.0 + nu, w))
@@ -278,18 +287,14 @@ def survival_2d_1f1(tau, wedge, max_terms=500):
     return total
 
 
-def _edge_flux_coefficients(tau, r, wedge, max_terms):
+def _edge_flux_coefficients(tau, r, wedge):
     """Angular derivative of the eigenfunction series on the phi = varpi
     edge: G_phi(tau, r, varpi) as an array over r. Negative (density falls
     off toward the absorbing edge). Only the live cells of the
     (radius, order) grid call the Bessel function (_live_cells)."""
     z = r * wedge.r0 / tau
-    nu_stop = _order_cutoff(float(np.max(z)))
-    n_terms = min(int(math.ceil(nu_stop * wedge.varpi / math.pi)) + 1,
-                  max_terms)
-    if n_terms == max_terms:
-        warnings.warn("edge flux series truncated at order cap",
-                      RuntimeWarning, stacklevel=3)
+    step = math.pi / wedge.varpi
+    n_terms = _series_length(float(np.max(z)), step, step, "edge flux")
     n = np.arange(1, n_terms + 1)
     nu = n * math.pi / wedge.varpi
     signs = np.where(n % 2 == 0, 1.0, -1.0)  # cos(n pi)
@@ -376,7 +381,7 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
             continue
         tau_left = T - t
         r_nodes, r_w = gauss_legendre(n_radial, r_lo, min(r_star, r_hi))
-        flux = _edge_flux_coefficients(t, r_nodes, wedge, _ORDER_CAP)
+        flux = _edge_flux_coefficients(t, r_nodes, wedge)
         d, a = _legs_1d(tau_left, wedge.rho_bar * r_nodes, terms.rate,
                         terms.recovery)
         exposure = d - terms.coupon * a

@@ -11,11 +11,12 @@ the boundary hat functions, which keeps them exactly consistent with
 the discrete basis and needs no off-mesh differentiation; the basis
 stores those boundary rows, formed once when it is built.
 
-The pricing grid calls the Bessel function on the live cells of its
-(time, radius) x order kernel only, by the rule of cds2d._live_cells;
-green_3d evaluates every radius and mode. A buyer past the reach cut
-is priced on the seller-reference wedge, where the CVA-only break-even
-coupon is a Newton root on the wedge CVA's exact coupon slope.
+The radial Bessel kernel has one evaluation path, for the pricing grid
+and green_3d alike: it calls the Bessel function on the live cells of
+its (time, radius) x order grid only, by the rule of cds2d._live_cells.
+A buyer past the reach cut is priced on the seller-reference wedge,
+where the CVA-only break-even coupon is a Newton root on the wedge
+CVA's exact coupon slope.
 """
 
 import math
@@ -110,13 +111,12 @@ def _source_weights(basis, source, n_terms):
     return psi0[:n_terms]
 
 
-def _radial_kernel(basis, tau, r, r0, n_terms, live_only=False):
+def _radial_kernel(basis, tau, r, r0, n_terms):
     """exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) / (tau sqrt(r r0)),
     Bessel factor scaled; shape (len(tau), len(r), n_terms).
 
-    live_only calls the Bessel function on the live cells of the
-    (tau, r) x order grid alone (cds2d._live_cells) and leaves the
-    others 0.
+    Only the live cells of the (tau, r) x order grid call the Bessel
+    function (cds2d._live_cells); the others are left 0.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -125,13 +125,10 @@ def _radial_kernel(basis, tau, r, r0, n_terms, live_only=False):
     with np.errstate(under="ignore"):
         base = (np.exp(-((r[None, :] - r0) ** 2) / (2.0 * tau[:, None]))
                 / (tau[:, None] * np.sqrt(r[None, :] * r0)))
-        if live_only:
-            rows, cols = _live_cells(base, z, nu)
-            bess = np.zeros(z.shape + nu.shape)
-            bess.reshape(-1, len(nu))[rows, cols] = bessel_i_scaled(
-                nu[cols], z.ravel()[rows])
-        else:
-            bess = bessel_i_scaled(nu[None, None, :], z[:, :, None])
+        rows, cols = _live_cells(base, z, nu)
+        bess = np.zeros(z.shape + nu.shape)
+        bess.reshape(-1, len(nu))[rows, cols] = bessel_i_scaled(
+            nu[cols], z.ravel()[rows])
     return base[:, :, None] * bess
 
 
@@ -144,9 +141,10 @@ def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     part, spectral in the angles.
 
     The radial Bessel kernel depends on r only and the mode values on
-    the angles only, so a call costs (distinct radii x modes) Bessel
-    values and locates each distinct (phi, theta) once: a lattice of
-    radii x angles costs what its radii and its angles cost apart.
+    the angles only, so a call asks the Bessel function for the live
+    cells of (distinct radii x modes) alone (cds2d._live_cells) and
+    locates each distinct (phi, theta) once: a lattice of radii x
+    angles costs what its radii and its angles cost apart.
     """
     tau = _scalar_tau(tau)
     n_terms = basis.n_modes if n_terms is None else n_terms
@@ -277,17 +275,13 @@ class PricingGrid:
     default_buyer: np.ndarray    # (nt, nr, kb)
     annuity_buyer: np.ndarray    # (nt, nr, kb)
 
-    def values(self, terms):
-        """1D CDS values D - coupon A on the seller and buyer face grids.
+    def face_values(self, terms, face):
+        """1D CDS values D - coupon A on one face grid, "seller" or
+        "buyer".
 
         Raises ValueError when terms differ from the grid's in anything
         but the coupon.
         """
-        return self.face_values(terms, "seller"), \
-            self.face_values(terms, "buyer")
-
-    def face_values(self, terms, face):
-        """values(terms) on one face only, "seller" or "buyer"."""
         if (terms.maturity, terms.rate, terms.recovery) != (
                 self.maturity, self.rate, self.recovery):
             raise ValueError("pricing grid built for other terms: only "
@@ -321,8 +315,7 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
 
     psi0 = _source_weights(basis, source, n_terms)
-    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0, n_terms,
-                         live_only=True)
+    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0, n_terms)
     rad *= psi0[None, None, :]
     flux_s = np.einsum("ijn,kn->ijk", rad,
                        fluxes.seller_coeff[:, :n_terms])

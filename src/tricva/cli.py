@@ -88,11 +88,9 @@ def _merge(base, override, path=""):
         elif isinstance(cur, (int, float)):
             if not _finite_number(val):
                 raise ConfigError("%r must be a finite number" % (path + key))
+            if isinstance(cur, int) and val != int(val):
+                raise ConfigError("%r must be an integer" % (path + key))
             out[key] = type(cur)(val)
-        elif isinstance(cur, str):
-            if not isinstance(val, str):
-                raise ConfigError("%r must be a string" % (path + key))
-            out[key] = val
         elif isinstance(cur, list):
             if (not isinstance(val, list) or not val
                     or not all(_finite_number(v) for v in val)):

@@ -118,19 +118,6 @@ def theta_max_at(spec, phi):
     return theta_curve(spec, omega_of_phi(spec, phi))
 
 
-def boundary_curve(spec, n=256):
-    """Sampled polyline (phi_i, theta_i) along the buyer's face.
-
-    Uses the compactified parameter u = omega/(1+omega) so both endpoints
-    are included exactly.
-    """
-    u = np.linspace(0.0, 1.0, n)
-    with np.errstate(divide="ignore"):
-        omega = u / (1.0 - u)
-    omega[-1] = np.inf
-    return phi_curve(spec, omega), theta_curve(spec, omega)
-
-
 def versors(spec):
     """Unit vectors of the three barrier-plane intersections in the
     decorrelated frame: e1 = y=z=0 edge, e2 = x=z=0 edge, e3 = x=y=0."""

@@ -73,12 +73,12 @@ class CdsTerms:
     recovery: float
 
     def __post_init__(self):
-        if not self.maturity > 0:
-            raise ValueError("maturity must be positive")
+        if not 0 < self.maturity < math.inf:
+            raise ValueError("maturity must be positive and finite")
         if not math.isfinite(self.coupon):
             raise ValueError("coupon must be finite")
-        if not self.rate >= 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be non-negative and finite")
         if not 0 <= self.recovery < 1:
             raise ValueError("recovery must be in [0, 1)")
 

@@ -80,7 +80,7 @@ def test_to_wedge_rejects_bad_inputs():
 
 @pytest.mark.parametrize("p,q,want", F_REFERENCES)
 def test_f_kernel_references(p, q, want):
-    assert abs(cds2d._f_wedge(p, q, 600) - want) < 1e-12
+    assert abs(cds2d._f_wedge(p, q) - want) < 1e-12
 
 
 @pytest.mark.parametrize("p,q,want", H_REFERENCES)
@@ -91,8 +91,8 @@ def test_h_kernel_references(p, q, want):
 def test_h_kernel_limits():
     # f vanishes at p = 0 and q = 0; h approaches the free kernel weight 1
     # inside |q| < pi as p grows
-    assert cds2d._f_wedge(0.0, 1.0, 600) == 0.0
-    assert cds2d._f_wedge(1.0, 0.0, 600) == 0.0
+    assert cds2d._f_wedge(0.0, 1.0) == 0.0
+    assert cds2d._f_wedge(1.0, 0.0) == 0.0
     assert abs(cds2d.h_kernel(4000.0, 0.3) - 1.0) < 1e-6
     # far outside the physical sheet the kernel dies exponentially except at
     # full turns, where it only decays like 1/sqrt(p)
@@ -178,6 +178,22 @@ def test_survival_routes_agree(tau, x0, y0, rho):
     b = cds2d.survival_2d_1f1(tau, w)
     assert abs(a - b) < 1e-8
     assert -1e-12 <= a <= 1.0 + 1e-12
+
+
+def test_survival_past_the_old_term_cap():
+    # a near-comonotone pair far from its barriers at a short horizon
+    # needs 666 terms; a sum cut at 500 warned and, at the second
+    # input, read 1 + 3.2e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = cds2d.survival_2d(0.013567,
+                              cds2d.to_wedge(5.4083, 1.5471, 0.97699))
+        q_near = cds2d.survival_2d(
+            0.013567050981374977,
+            cds2d.to_wedge(5.408251610157345, 1.5471445483504207,
+                           0.9769878094726396))
+    assert 1.0 - 1e-15 <= q <= 1.0
+    assert 1.0 - 1e-15 <= q_near <= 1.0 + 1e-15
 
 
 def test_survival_independence_factorization():
@@ -307,7 +323,7 @@ def test_edge_flux_skips_dead_cells_within_bound(monkeypatch):
     r = np.linspace(1e-3, 12.0, 200)
     for t in (0.1, 0.5, 4.0):
         asked.clear()
-        got = cds2d._edge_flux_coefficients(t, r, w, cds2d._ORDER_CAP)
+        got = cds2d._edge_flux_coefficients(t, r, w)
         full, pref, z, nu, coef, bess = _edge_flux_full(t, r, w)
         assert sum(asked) < 0.7 * bess.size
         diff = np.abs(got - full)

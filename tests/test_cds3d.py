@@ -110,7 +110,45 @@ class TestGreen3d:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cds3d.green_3d(basis, 1.0, r, phi, theta, src, n_terms=40)
-        assert sum(asked) == 24 * 40
+        # the live cells of the 24 radii x 40 modes, asked once per
+        # radius whatever the angles
+        radii = r[:, 0]
+        base = (np.exp(-(radii - src.r0) ** 2 / 2.0)
+                / np.sqrt(radii * src.r0))
+        live, _ = cds2d._live_cells(base, radii * src.r0, basis.nu[:40])
+        assert sum(asked) == len(live) <= 24 * 40
+
+    def test_lattice_matches_full_grid(self, octant_basis):
+        # the density against every (radius, mode) cell, and the bound
+        # on what the skipped cells held (cds2d._live_cells)
+        _, basis = octant_basis
+        src = _source(octant_basis)
+        r, phi, theta = self._lattice(basis, n_radii=60)
+        radii = np.concatenate([r[:, 0], [12.0, 16.0]])
+        modes = fem.eval_basis(basis, phi[0], theta[0])
+        psi0 = fem.eval_basis(basis, src.phi0, src.theta0)[0]
+        z = radii * src.r0
+        base = np.exp(-(radii - src.r0) ** 2 / 2.0) / np.sqrt(z)
+        bess = bessel_i_scaled(basis.nu, z[:, None])
+        full = np.einsum("pn,n,kn->kp", modes, psi0, base[:, None] * bess)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = cds3d.green_3d(basis, 1.0, radii[:, None], phi, theta,
+                                 src)
+        diff = np.abs(got - full)
+        assert diff.max() <= 1e-13 * np.abs(full).max()
+        rows, _ = cds2d._live_cells(base, z, basis.nu)
+        kept = np.bincount(rows, minlength=len(radii))
+        assert kept.min() < basis.n_modes
+        ive_c = np.where(kept > 0, bess[np.arange(len(radii)),
+                                        np.maximum(kept - 1, 0)], 1.0)
+        terms_n = np.abs(modes * psi0)                   # (p, n)
+        tail = np.concatenate([np.cumsum(terms_n[:, ::-1], axis=1)[:, ::-1],
+                               np.zeros((len(terms_n), 1))], axis=1)
+        bound = (base * ive_c)[:, None] * tail[:, kept].T
+        round_off = 1e-14 * np.einsum("pn,kn->kp", terms_n,
+                                      base[:, None] * bess)
+        assert np.all(diff <= bound + round_off)
 
     def test_lattice_locates_each_angle_once(self, octant_basis,
                                              monkeypatch):
@@ -490,7 +528,8 @@ class TestPricingGrid:
         tau_left = (TERMS.maturity - grid.t_nodes)[:, None, None]
         for coupon in (0.01, 0.035):
             t = replace(TERMS, coupon=coupon)
-            for got, y in zip(grid.values(t), faces):
+            for face, y in zip(("seller", "buyer"), faces):
+                got = grid.face_values(t, face)
                 want = cds1d.cds_values_1d(tau_left, y[None, :, :], t)
                 assert np.array_equal(got, want)
 
@@ -549,24 +588,15 @@ class TestPricingGrid:
                 np.abs(terms_n)) * taper[:, None, None]
             assert np.all(diff <= bound + round_off)
 
-    def test_face_values_are_values_faces(self, basis_table1):
-        spec, basis = basis_table1
-        grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
-                                     TERMS, n_time=8, n_radial=16)
-        t = replace(TERMS, coupon=0.03)
-        for got, face in zip(grid.values(t), ("seller", "buyer")):
-            assert np.array_equal(grid.face_values(t, face), got)
-        with pytest.raises(ValueError):
-            grid.face_values(replace(TERMS, rate=0.03), "buyer")
-
     def test_values_reject_other_terms(self, basis_table1):
         spec, basis = basis_table1
         grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
                                      TERMS, n_time=8, n_radial=16)
         for change in ({"maturity": 4.0}, {"rate": 0.03},
                        {"recovery": 0.3}):
-            with pytest.raises(ValueError):
-                grid.values(replace(TERMS, **change))
+            for face in ("seller", "buyer"):
+                with pytest.raises(ValueError):
+                    grid.face_values(replace(TERMS, **change), face)
 
 
 class TestBreakeven:

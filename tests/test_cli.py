@@ -256,6 +256,21 @@ class TestExitCodes:
         assert _run(tmp_path, "eig", str(path)) == cli.FAIL_CONFIG
         assert "number" in capsys.readouterr().err
 
+    def test_fractional_integer_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        for section, key in (("mesh", "n_points"), ("series", "n_terms"),
+                             ("mc", "n_paths")):
+            path.write_text(json.dumps({section: {key: 1500.7}}))
+            with pytest.raises(cli.ConfigError,
+                               match="%s.%s' must be an integer"
+                               % (section, key)):
+                cli.load_config(str(path))
+        path.write_text(json.dumps({"mesh": {"n_points": 1500.0},
+                                    "series": {"n_terms": 40}}))
+        cfg = cli.load_config(str(path))
+        assert cfg.mesh["n_points"] == 1500
+        assert isinstance(cfg.mesh["n_points"], int)
+
     @pytest.mark.parametrize("config", [
         {"firms": {"X": {"equity": float("nan")}}},
         {"maturities": [float("inf")]},

@@ -53,16 +53,6 @@ class TestGeometry:
         back = d3.omega_of_phi(spec, d3.phi_curve(spec, omega))
         assert back == pytest.approx(omega, rel=1e-9)
 
-    def test_boundary_curve_endpoints(self):
-        spec = make_domain((0.8, 0.2, 0.5))
-        phi, theta = d3.boundary_curve(spec, 64)
-        assert phi[0] == 0.0 and theta[0] == pytest.approx(
-            d3.theta_max_at(spec, 0.0), abs=1e-14)
-        assert phi[-1] == pytest.approx(spec.varpi, abs=1e-14)
-        assert theta[-1] == pytest.approx(
-            d3.theta_max_at(spec, spec.varpi), abs=1e-14)
-        assert np.all(np.diff(phi) > 0)
-
     def test_versors_unit_and_on_their_edges(self):
         for rho, *_ in GEOMETRY_REFERENCES:
             spec = make_domain(rho)

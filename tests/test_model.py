@@ -90,3 +90,11 @@ def test_nan_inputs_rejected():
         args[field] = nan
         with pytest.raises(ValueError):
             CdsTerms(**args)
+
+
+@pytest.mark.parametrize("field", ["maturity", "rate"])
+def test_cds_terms_reject_infinite_maturity_and_rate(field):
+    args = dict(maturity=5.0, coupon=0.01, rate=0.02, recovery=0.4)
+    args[field] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        CdsTerms(**args)
