@@ -12,7 +12,6 @@ minus coupon leg.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -231,32 +230,12 @@ def default_leg_1d(tau, y0, rate, recovery):
     return _legs_1d(tau, y0, rate, recovery)[0]
 
 
-@dataclass(frozen=True)
-class Cds1dQuote:
-    """Valuation breakdown of a single-name CDS."""
-    value: float
-    annuity: float
-    default_leg: float
-    survival: float
-
-
-def cds_value_1d(tau, y0, terms):
-    """Protection-buyer value of a CDS on one name, per unit notional.
-
-    value = default_leg - coupon * annuity. Positive when the running
-    coupon undercompensates the default risk at this driver level.
-    """
-    d, a = _legs_1d(tau, y0, terms.rate, terms.recovery)
-    q = survival_1d(tau, y0)
-    return Cds1dQuote(value=d - terms.coupon * a, annuity=a, default_leg=d,
-                      survival=q)
-
-
 def cds_values_1d(tau, y0, terms):
-    """Vectorized protection-buyer CDS value over arrays of tau and y0.
+    """Protection-buyer CDS value per unit notional, over arrays of tau
+    and y0: default_leg - coupon * annuity.
 
-    Same payout as cds_value_1d but skipping the quote container; used in
-    the exposure quadratures where the valuation runs over a grid.
+    Positive when the running coupon undercompensates the default risk
+    at this driver level; the exposure quadratures run it over grids.
     """
     d, a = _legs_1d(tau, y0, terms.rate, terms.recovery)
     return d - terms.coupon * a

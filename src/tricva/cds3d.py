@@ -14,9 +14,15 @@ stores those boundary rows, formed once when it is built.
 The radial Bessel kernel has one evaluation path, for the pricing grid
 and green_3d alike: it calls the Bessel function on the live cells of
 its (time, radius) x order grid only, by the rule of cds2d._live_cells.
-A buyer past the reach cut is priced on the seller-reference wedge,
-where the CVA-only break-even coupon is a Newton root on the wedge
-CVA's exact coupon slope.
+Every series runs over all modes of the basis it is given; a shallower
+sum is a price on fem.truncate_basis.
+
+A PricingGrid is one contract: prepare_pricing decides its regime, and
+the legs and roots read only the grid. A buyer past the reach cut gets a
+grid that holds the seller-reference wedge, on which the CVA is cva_2d,
+the DVA is 0 and the CVA-only break-even coupon is a Newton root on the
+wedge CVA's exact coupon slope. survival_3d, which takes no grid, makes
+the same cut itself.
 """
 
 import math
@@ -27,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import cds1d
-from .cds2d import (_cva_2d_with_slope, _live_cells, cva_2d,
+from .cds2d import (WedgeCoords, _cva_2d_with_slope, _live_cells, cva_2d,
                     survival_2d, to_wedge)
 from .domain3d import correlate, decorrelate
 from .fem import eval_basis
@@ -86,7 +92,8 @@ def _unreachable_buyer_wedge(domain, source, horizon):
     tapers the buyer's flux at every time node. The three-name problem
     then reduces to the two-name wedge of seller and reference, up to
     the buyer's crossing mass erfc(z / sqrt(2T)) < 6.4e-5. Returns None
-    while the buyer is reachable, or when the chart is unknown.
+    while the buyer is reachable, or when the chart is unknown. Only
+    survival_3d and prepare_pricing make this cut.
     """
     if domain is None:
         return None
@@ -106,21 +113,20 @@ def _scalar_tau(tau):
     return tau
 
 
-def _source_weights(basis, source, n_terms):
-    psi0 = eval_basis(basis, source.phi0, source.theta0)[0]
-    return psi0[:n_terms]
+def _source_weights(basis, source):
+    return eval_basis(basis, source.phi0, source.theta0)[0]
 
 
-def _radial_kernel(basis, tau, r, r0, n_terms):
+def _radial_kernel(basis, tau, r, r0):
     """exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) / (tau sqrt(r r0)),
-    Bessel factor scaled; shape (len(tau), len(r), n_terms).
+    Bessel factor scaled; shape (len(tau), len(r), n_modes).
 
     Only the live cells of the (tau, r) x order grid call the Bessel
     function (cds2d._live_cells); the others are left 0.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    nu = basis.nu[:n_terms]
+    nu = basis.nu
     z = np.multiply.outer(1.0 / tau, r * r0)
     with np.errstate(under="ignore"):
         base = (np.exp(-((r[None, :] - r0) ** 2) / (2.0 * tau[:, None]))
@@ -132,7 +138,7 @@ def _radial_kernel(basis, tau, r, r0, n_terms):
     return base[:, :, None] * bess
 
 
-def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
+def green_3d(basis, tau, r, phi, theta, source):
     """Transition density to (r, phi, theta), per unit driver volume.
 
     All of r >= 0, phi, theta broadcast together; tau is a positive
@@ -147,7 +153,6 @@ def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     angles costs what its radii and its angles cost apart.
     """
     tau = _scalar_tau(tau)
-    n_terms = basis.n_modes if n_terms is None else n_terms
     r, phi, theta = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(phi, float),
         np.asarray(theta, float))
@@ -159,9 +164,9 @@ def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     # angles of np.unique(axis=0), without its slow sort of row records
     angles, a_at = np.unique(phi.ravel() + 1j * theta.ravel(),
                              return_inverse=True)
-    modes = eval_basis(basis, angles.real, angles.imag)[a_at, :n_terms]
-    psi0 = _source_weights(basis, source, n_terms)
-    rad = _radial_kernel(basis, tau, radii, source.r0, n_terms)[0][r_at]
+    modes = eval_basis(basis, angles.real, angles.imag)[a_at]
+    psi0 = _source_weights(basis, source)
+    rad = _radial_kernel(basis, tau, radii, source.r0)[0][r_at]
     out = np.einsum("pn,n,pn->p", modes, psi0, rad)
     last = np.abs(modes[:, -1] * psi0[-1] * rad[:, -1])
     if np.any(last > 1e-10 * np.maximum(np.abs(out), 1e-300)):
@@ -170,7 +175,7 @@ def green_3d(basis, tau, r, phi, theta, source, n_terms=None):
     return out.reshape(shape) if shape else float(out[0])
 
 
-def survival_3d(basis, tau, source, n_terms=None):
+def survival_3d(basis, tau, source):
     """Probability that no driver has crossed by tau.
 
     Integrating the radial kernel against r^2 dr gives
@@ -189,15 +194,14 @@ def survival_3d(basis, tau, source, n_terms=None):
     wedge = _unreachable_buyer_wedge(source.domain, source, tau)
     if wedge is not None:
         return survival_2d(tau, wedge)
-    n_terms = basis.n_modes if n_terms is None else n_terms
-    nu = basis.nu[:n_terms]
+    nu = basis.nu
     w = source.r0 ** 2 / (2.0 * tau)
     a = 0.5 * nu - 0.25
     b = nu + 1.0
     radial = np.exp(a * math.log(w) + ln_gamma(b - a) - ln_gamma(b)
                     + ln_hyp1f1_neg(a, b, w))
-    psi0 = _source_weights(basis, source, n_terms)
-    terms_n = psi0 * basis.s_n[:n_terms] * radial
+    psi0 = _source_weights(basis, source)
+    terms_n = psi0 * basis.s_n * radial
     q = float(terms_n.sum())
     if abs(terms_n[-1]) > 1e-10 * max(abs(q), 1e-300):
         warnings.warn("last eigen term above 1e-10 of the partial sum; "
@@ -252,40 +256,44 @@ def _variational_face_fluxes(basis, domain):
 
 @dataclass(frozen=True)
 class PricingGrid:
-    """Coupon-independent quadrature data reused across valuations.
+    """One contract's coupon-independent quadrature data.
 
     The 1D CDS value on each face grid is linear in the coupon,
     V = D - coupon A, so the default legs D and risky annuities A at
     every (time left, radius, face node) are computed once here; a
     valuation at another coupon only rescales the annuities.
+
+    A buyer past the reach cut (prepare_pricing) leaves the grid with the
+    seller-reference wedge alone: wedge is then set and every array is
+    None, and while the buyer is reachable wedge is None.
     """
-    domain: object
-    source: SphericalPoint
     maturity: float
     rate: float
     recovery: float
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
-    r_nodes: np.ndarray
-    r_weights: np.ndarray
-    flux_seller: np.ndarray      # (nt, nr, ks): sum_n psi0_n radial_n R_kn
-    flux_buyer: np.ndarray       # (nt, nr, kb)
-    default_seller: np.ndarray   # (nt, nr, ks) D on the seller's face
-    annuity_seller: np.ndarray   # (nt, nr, ks) A on the seller's face
-    default_buyer: np.ndarray    # (nt, nr, kb)
-    annuity_buyer: np.ndarray    # (nt, nr, kb)
+    wedge: WedgeCoords = None
+    t_nodes: np.ndarray = None
+    t_weights: np.ndarray = None
+    r_nodes: np.ndarray = None
+    r_weights: np.ndarray = None
+    flux_seller: np.ndarray = None     # (nt, nr, ks): psi0_n radial_n R_kn
+    flux_buyer: np.ndarray = None      # (nt, nr, kb)
+    default_seller: np.ndarray = None  # (nt, nr, ks) D on the seller's face
+    annuity_seller: np.ndarray = None  # (nt, nr, ks) A on the seller's face
+    default_buyer: np.ndarray = None   # (nt, nr, kb)
+    annuity_buyer: np.ndarray = None   # (nt, nr, kb)
 
-    def face_values(self, terms, face):
-        """1D CDS values D - coupon A on one face grid, "seller" or
-        "buyer".
-
-        Raises ValueError when terms differ from the grid's in anything
-        but the coupon.
-        """
+    def check_terms(self, terms):
+        """ValueError when terms differ from the grid's in anything but
+        the coupon."""
         if (terms.maturity, terms.rate, terms.recovery) != (
                 self.maturity, self.rate, self.recovery):
             raise ValueError("pricing grid built for other terms: only "
                              "the coupon may change")
+
+    def face_values(self, terms, face):
+        """1D CDS values D - coupon A on one face grid, "seller" or
+        "buyer"; check_terms first."""
+        self.check_terms(terms)
         if face == "seller":
             return self.default_seller - terms.coupon * self.annuity_seller
         return self.default_buyer - terms.coupon * self.annuity_buyer
@@ -300,27 +308,30 @@ def _face_distances(domain, fluxes, r_nodes):
     return y_s, np.outer(r_nodes, ray)
 
 
-def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
-                    n_terms=None):
-    """Assemble the time/radius grids, per-face flux tensors and 1D legs.
+def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200):
+    """The contract's pricing grid: its regime, and for a reachable buyer
+    the time/radius grids, per-face flux tensors and 1D legs.
 
-    The radial kernel is evaluated on its live cells only
-    (cds2d._live_cells); the skipped cells' share of each flux is
-    bounded there.
+    A buyer with z > 4 sqrt(T) cannot default by maturity: the grid then
+    holds the seller-reference wedge and no flux tensors, and no
+    three-name kernel is evaluated. Otherwise the radial kernel is
+    evaluated on its live cells only (cds2d._live_cells); the skipped
+    cells' share of each flux is bounded there.
     """
-    n_terms = basis.n_modes if n_terms is None else n_terms
+    wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
+    if wedge is not None:
+        return PricingGrid(maturity=terms.maturity, rate=terms.rate,
+                           recovery=terms.recovery, wedge=wedge)
     fluxes = _variational_face_fluxes(basis, domain)
     t_nodes, t_w = gauss_legendre(n_time, 0.0, terms.maturity)
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
 
-    psi0 = _source_weights(basis, source, n_terms)
-    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0, n_terms)
+    psi0 = _source_weights(basis, source)
+    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0)
     rad *= psi0[None, None, :]
-    flux_s = np.einsum("ijn,kn->ijk", rad,
-                       fluxes.seller_coeff[:, :n_terms])
-    flux_b = np.einsum("ijn,kn->ijk", rad,
-                       fluxes.buyer_coeff[:, :n_terms])
+    flux_s = np.einsum("ijn,kn->ijk", rad, fluxes.seller_coeff)
+    flux_b = np.einsum("ijn,kn->ijk", rad, fluxes.buyer_coeff)
 
     x_gap, _, z_gap = _driver_distances(domain, source)
     for flux, gap in ((flux_s, x_gap), (flux_b, z_gap)):
@@ -334,9 +345,8 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
     d_s, a_s = cds1d._legs_1d(tau_left, y_s, rate, recovery)
     d_b, a_b = cds1d._legs_1d(tau_left, y_b, rate, recovery)
     return PricingGrid(
-        domain=domain, source=source, maturity=terms.maturity, rate=rate,
-        recovery=recovery, t_nodes=t_nodes, t_weights=t_w,
-        r_nodes=r_nodes, r_weights=r_w,
+        maturity=terms.maturity, rate=rate, recovery=recovery,
+        t_nodes=t_nodes, t_weights=t_w, r_nodes=r_nodes, r_weights=r_w,
         flux_seller=flux_s, flux_buyer=flux_b,
         default_seller=d_s, annuity_seller=a_s,
         default_buyer=d_b, annuity_buyer=a_b)
@@ -344,6 +354,9 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200,
 
 def _leg(grid, terms, which, recovery):
     """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do."""
+    if grid.wedge is not None:
+        grid.check_terms(terms)
+        return cva_2d(grid.wedge, terms, recovery) if which == "cva" else 0.0
     if which == "cva":
         exposure = grid.face_values(terms, "seller")
         np.maximum(exposure, 0.0, out=exposure)
@@ -363,78 +376,65 @@ def _leg(grid, terms, which, recovery):
     return max(0.0, -(1.0 - recovery) * leg)
 
 
-def cva_3d(basis, domain, source, terms, recovery_seller, n_time=48,
-           n_radial=200, n_terms=None, grid=None):
+def cva_3d(grid, terms, recovery_seller):
     """Expected discounted loss when the seller defaults first, >= 0.
 
     Positive exposure of the protection buyer hits the seller's face;
-    the loss is the unrecovered fraction of the replacement value.
+    the loss is the unrecovered fraction of the replacement value. grid
+    is prepare_pricing's grid for these terms at any coupon.
 
-    A buyer with z > 4 sqrt(T) cannot default by maturity: the value is
-    then the two-name wedge CVA (cva_2d, on its own default quadrature),
-    within (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of the three-name value.
+    On the grid of a buyer with z > 4 sqrt(T), who cannot default by
+    maturity, the value is the two-name wedge CVA (cva_2d, on its own
+    default quadrature), within (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of
+    the three-name value.
     """
-    wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
-    if wedge is not None:
-        return cva_2d(wedge, terms, recovery_seller)
-    if grid is None:
-        grid = prepare_pricing(basis, domain, source, terms, n_time,
-                               n_radial, n_terms)
     return _leg(grid, terms, "cva", recovery_seller)
 
 
-def dva_3d(basis, domain, source, terms, recovery_buyer, n_time=48,
-           n_radial=200, n_terms=None, grid=None):
+def dva_3d(grid, terms, recovery_buyer):
     """Own-default benefit when the buyer defaults first, reported >= 0.
 
     The raw adjustment is non-positive (negative exposure times the
     unrecovered fraction); the sign flip makes the bilateral value
-    V - cva + dva.
+    V - cva + dva. grid is prepare_pricing's grid for these terms at any
+    coupon.
 
-    A buyer with z > 4 sqrt(T) cannot default by maturity and the value
-    is 0.0; the true one is at most (1 - R_b) coupon T erfc(z / sqrt(2T)).
+    On the grid of a buyer with z > 4 sqrt(T), who cannot default by
+    maturity, the value is 0.0; the true one is at most
+    (1 - R_b) coupon T erfc(z / sqrt(2T)).
     """
-    if _unreachable_buyer_wedge(domain, source, terms.maturity) is not None:
-        return 0.0
-    if grid is None:
-        grid = prepare_pricing(basis, domain, source, terms, n_time,
-                               n_radial, n_terms)
     return _leg(grid, terms, "dva", recovery_buyer)
 
 
-def breakeven_coupon_3d(basis, domain, source, terms, recovery_seller,
-                        recovery_buyer, y0_reference, adjust="bilateral",
-                        n_time=48, n_radial=200, n_terms=None, grid=None):
+def breakeven_coupon_3d(grid, terms, recovery_seller, recovery_buyer,
+                        y0_reference, adjust):
     """Coupon that zeroes the adjusted contract value.
 
     adjust picks which legs enter: "none" reproduces the plain two-name
     coupon, "cva" charges the seller leg, "dva" credits the buyer leg,
-    "bilateral" both, each as cva_3d and dva_3d report it.
-    y0_reference is the reference's own distance used for the
-    unadjusted value. grid is a prepare_pricing grid for these terms at
-    any coupon; one is built when it is None.
+    "bilateral" both, each as cva_3d and dva_3d report it on grid,
+    prepare_pricing's grid for these terms at any coupon. y0_reference
+    is the reference's own distance used for the unadjusted value.
 
-    A buyer with z > 4 sqrt(T) cannot default by maturity: the CVA leg
-    is then cva_2d on the seller-reference wedge and the DVA leg is
-    zero, as in cva_3d and dva_3d, so no three-name grid is built; the
-    adjusted value is off by at most the sum of their two error bounds.
-    That root is Newton's (_wedge_breakeven); the grid roots are
-    brentq's, as the bilateral grid value need not be concave.
+    On the grid of a buyer with z > 4 sqrt(T), who cannot default by
+    maturity, the CVA leg is cva_2d on the seller-reference wedge and
+    the DVA leg is zero, as in cva_3d and dva_3d; the adjusted value is
+    off by at most the sum of their two error bounds. That root is
+    Newton's (_wedge_breakeven); the three-name grid roots are brentq's,
+    as the bilateral grid value need not be concave.
     """
+    grid.check_terms(terms)
     # the closed-form value is linear in the coupon: V = D - coupon A
     d0, a0 = cds1d._legs_1d(terms.maturity, y0_reference, terms.rate,
                             terms.recovery)
     plain = d0 / a0
     if adjust == "none":
         return plain
-    wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
-    if wedge is not None:
+    if grid.wedge is not None:
         if adjust == "dva":
             return plain
-        return _wedge_breakeven(wedge, terms, recovery_seller, d0, a0, plain)
-    if grid is None:
-        grid = prepare_pricing(basis, domain, source, terms, n_time,
-                               n_radial, n_terms)
+        return _wedge_breakeven(grid.wedge, terms, recovery_seller, d0, a0,
+                                plain)
 
     def adjusted(coupon):
         t = replace(terms, coupon=coupon)
@@ -489,28 +489,25 @@ class Price3d:
 
 
 def price_3d(basis, domain, source, terms, recovery_seller, recovery_buyer,
-             y0_reference, n_time=48, n_radial=200, n_terms=None):
+             y0_reference, n_time=48, n_radial=200):
     """The four break-even coupons, CVA and DVA of one contract.
 
     Every root and both adjustments (at terms.coupon) read one
-    prepare_pricing grid. A buyer with z > 4 sqrt(T) builds none: its
+    prepare_pricing grid. On the grid of a buyer with z > 4 sqrt(T) the
     DVA leg is zero, so the bilateral coupon is the CVA-only one, rooted
     once on the two-name wedge.
     """
-    far = _unreachable_buyer_wedge(domain, source,
-                                   terms.maturity) is not None
-    grid = None if far else prepare_pricing(basis, domain, source, terms,
-                                            n_time, n_radial, n_terms)
+    grid = prepare_pricing(basis, domain, source, terms, n_time, n_radial)
 
     def coupon(adjust):
-        return breakeven_coupon_3d(basis, domain, source, terms,
-                                   recovery_seller, recovery_buyer,
-                                   y0_reference, adjust=adjust, grid=grid)
+        return breakeven_coupon_3d(grid, terms, recovery_seller,
+                                   recovery_buyer, y0_reference, adjust)
 
     bec_cva = coupon("cva")
     return Price3d(
         bec_1d=coupon("none"), bec_cva_only=bec_cva,
         bec_dva_only=coupon("dva"),
-        bec_bilateral=bec_cva if far else coupon("bilateral"),
-        cva=cva_3d(basis, domain, source, terms, recovery_seller, grid=grid),
-        dva=dva_3d(basis, domain, source, terms, recovery_buyer, grid=grid))
+        bec_bilateral=(bec_cva if grid.wedge is not None
+                       else coupon("bilateral")),
+        cva=cva_3d(grid, terms, recovery_seller),
+        dva=dva_3d(grid, terms, recovery_buyer))

@@ -211,7 +211,11 @@ def _basis_from_npz(data):
 
 
 def ensure_basis(cfg, cache_dir):
-    """Load the eigenbasis from cache or build and store it."""
+    """Load the eigenbasis from cache or build and store it.
+
+    The basis returned holds series.n_terms modes: a cache entry with
+    more is cut to its first ones (fem.truncate_basis).
+    """
     key = cache_key(cfg)
     want = cfg.series["n_terms"]
     path = Path(cache_dir) / ("eig-%s.npz" % key)
@@ -220,7 +224,8 @@ def ensure_basis(cfg, cache_dir):
             if int(data["n_modes"]) >= want:
                 log.info("cache hit %s: skipping assembly and eigensolve",
                          key)
-                return build_domain(cfg.corr), _basis_from_npz(data), key
+                basis = fem.truncate_basis(_basis_from_npz(data), want)
+                return build_domain(cfg.corr), basis, key
         log.info("cache entry %s holds too few modes; rebuilding", key)
     spec = build_domain(cfg.corr)
     mesh = build_mesh(spec, n_points=cfg.mesh["n_points"])
@@ -287,8 +292,7 @@ def cmd_mesh(cfg, out_dir, cache_dir):
 
 def cmd_eig(cfg, out_dir, cache_dir):
     _, basis, key = ensure_basis(cfg, cache_dir)
-    n = cfg.series["n_terms"]
-    rows = [(i + 1, lam2) for i, lam2 in enumerate(basis.lam2[:n])]
+    rows = [(i + 1, lam2) for i, lam2 in enumerate(basis.lam2)]
     _write_csv(Path(out_dir) / "eig.csv", cfg, key, ("n", "lambda2"), rows)
     return OK
 
@@ -300,17 +304,15 @@ def cmd_price(cfg, out_dir, cache_dir):
     rec_s = cfg.firms["X"].recovery
     rec_b = cfg.firms["Z"].recovery
     quad = cfg.quadrature
-    n_terms = min(cfg.series["n_terms"], basis.n_modes)
     rows = []
     for mat in cfg.maturities:
         p = cds3d.price_3d(basis, spec, source,
                            replace(cfg.terms, maturity=mat), rec_s, rec_b,
                            y0, n_time=quad["n_time"],
-                           n_radial=quad["n_radial"], n_terms=n_terms)
+                           n_radial=quad["n_radial"])
         rows.append((mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
                      p.bec_bilateral, p.cva, p.dva,
-                     cds3d.survival_3d(basis, mat, source,
-                                       n_terms=n_terms)))
+                     cds3d.survival_3d(basis, mat, source)))
     _write_csv(Path(out_dir) / "price.csv", cfg, key,
                ("maturity", "bec_1d", "bec_cva_only", "bec_dva_only",
                 "bec_bilateral", "cva", "dva", "survival_3d"), rows)
@@ -359,21 +361,16 @@ def cmd_validate(cfg, out_dir, cache_dir):
     source = cds3d.transform_3d(spec, x0, y0, z0)
     tau = cfg.terms.maturity
     quad = cfg.quadrature
-    n_terms = min(cfg.series["n_terms"], basis.n_modes)
     grid = cds3d.prepare_pricing(basis, spec, source, cfg.terms,
                                  n_time=quad["n_time"],
-                                 n_radial=quad["n_radial"],
-                                 n_terms=n_terms)
+                                 n_radial=quad["n_radial"])
     model = {
         "survival_1d": survival_1d(tau, y0),
         "survival_2d": survival_2d(tau, to_wedge(x0, y0,
                                                  cfg.corr.rho_xy)),
-        "survival_3d": cds3d.survival_3d(basis, tau, source,
-                                         n_terms=n_terms),
-        "cva_3d": cds3d.cva_3d(basis, spec, source, cfg.terms,
-                               cfg.firms["X"].recovery, grid=grid),
-        "dva_3d": cds3d.dva_3d(basis, spec, source, cfg.terms,
-                               cfg.firms["Z"].recovery, grid=grid),
+        "survival_3d": cds3d.survival_3d(basis, tau, source),
+        "cva_3d": cds3d.cva_3d(grid, cfg.terms, cfg.firms["X"].recovery),
+        "dva_3d": cds3d.dva_3d(grid, cfg.terms, cfg.firms["Z"].recovery),
     }
     extrap = _mc_runs(cfg)["richardson"]
     tol = cfg.mc["tolerance_se"]

@@ -145,6 +145,22 @@ def solve_eig(K, M, mesh, n_modes=50):
                       boundary_residual=residual)
 
 
+def truncate_basis(basis, n_modes):
+    """The basis cut to its first n_modes modes, as views of its arrays.
+
+    Pricing uses every mode of the basis it is given; a price on this
+    cut equals, bit for bit, the same sum stopped after n_modes terms.
+    """
+    if n_modes == basis.n_modes:
+        return basis
+    if not 1 <= n_modes < basis.n_modes:
+        raise ValueError("basis holds %d modes, not %d"
+                         % (basis.n_modes, n_modes))
+    return EigenBasis(mesh=basis.mesh, lam2=basis.lam2[:n_modes],
+                      psi=basis.psi[:, :n_modes], s_n=basis.s_n[:n_modes],
+                      boundary_residual=basis.boundary_residual[:, :n_modes])
+
+
 def build_basis(mesh, n_modes=50):
     """Assemble once and solve."""
     K, M = _assemble_full(mesh)

@@ -98,7 +98,7 @@ def test_criterion_5_zero_correlation_factorization(octant_basis):
             assert abs(joint - product) < 1e-6
     spec, basis = octant_basis
     source = cds3d.transform_3d(spec, X0, Y0, Z0)
-    joint = cds3d.survival_3d(basis, 5.0, source, n_terms=50)
+    joint = cds3d.survival_3d(fem.truncate_basis(basis, 50), 5.0, source)
     product = (survival_1d(5.0, X0) * survival_1d(5.0, Y0)
                * survival_1d(5.0, Z0))
     assert joint == pytest.approx(product, rel=0.01)
@@ -118,10 +118,8 @@ def test_criterion_6_monte_carlo_cross_validation(octant_basis,
         model = {
             "survival_2d": survival_2d(tau, to_wedge(X0, Y0, rho[0])),
             "survival_3d": cds3d.survival_3d(basis, tau, source),
-            "cva_3d": cds3d.cva_3d(basis, spec, source, TERMS,
-                                   REC_SELLER, grid=grid),
-            "dva_3d": cds3d.dva_3d(basis, spec, source, TERMS,
-                                   REC_BUYER, grid=grid),
+            "cva_3d": cds3d.cva_3d(grid, TERMS, REC_SELLER),
+            "dva_3d": cds3d.dva_3d(grid, TERMS, REC_BUYER),
         }
         runs = {}
         for label, steps in (("coarse", 200), ("fine", 400)):
@@ -156,9 +154,9 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
         source = cds3d.transform_3d(spec, X0, Y0, Z0)
         terms = CdsTerms(coupon=TERMS.coupon, rate=TERMS.rate,
                          recovery=TERMS.recovery, maturity=maturity)
+        grid = cds3d.prepare_pricing(basis, spec, source, terms)
         return {adj: cds3d.breakeven_coupon_3d(
-                    basis, spec, source, terms, REC_SELLER, REC_BUYER,
-                    Y0, adjust=adj)
+                    grid, terms, REC_SELLER, REC_BUYER, Y0, adjust=adj)
                 for adj in ("none", "cva", "dva", "bilateral")}
 
     # (a) uncorrelated: seller risk cheapens the coupon, buyer risk
@@ -205,7 +203,8 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
 def test_criterion_8_dimensional_reduction_far_buyer():
     spec, basis = _build((0.8, 0.0, 0.0), 1500)
     source = cds3d.transform_3d(spec, X0, Y0, 1e3)
-    three_d = cds3d.cva_3d(basis, spec, source, TERMS, REC_SELLER)
+    three_d = cds3d.cva_3d(cds3d.prepare_pricing(basis, spec, source, TERMS),
+                           TERMS, REC_SELLER)
     two_d = cva_2d(to_wedge(X0, Y0, 0.8), TERMS, REC_SELLER)
     assert three_d == pytest.approx(two_d, rel=0.01), (
         "cva_3d %.6f vs cva_2d %.6f at z0=1e3: the angular eigenbasis "

@@ -196,10 +196,11 @@ def test_default_leg_in_unit_loss_band(tau, y0, rate, rec):
 def test_value_zero_at_breakeven():
     terms = CdsTerms(maturity=5.0, coupon=0.0, rate=0.02, recovery=0.4)
     c = cds1d.breakeven_coupon_1d(5.0, 2.9, 0.02, 0.4)
-    quote = cds1d.cds_value_1d(
+    value = cds1d.cds_values_1d(
         5.0, 2.9, CdsTerms(maturity=5.0, coupon=c, rate=0.02, recovery=0.4))
-    assert abs(quote.value) < 1e-14
-    assert quote.annuity > 0 and quote.default_leg > 0
+    assert abs(value) < 1e-14
+    assert (cds1d.annuity_1d(5.0, 2.9, 0.02) > 0
+            and cds1d.default_leg_1d(5.0, 2.9, 0.02, 0.4) > 0)
     # terms container is not mutated by pricing
     assert terms.coupon == 0.0
 

@@ -109,7 +109,8 @@ class TestGreen3d:
         r, phi, theta = self._lattice(basis)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cds3d.green_3d(basis, 1.0, r, phi, theta, src, n_terms=40)
+            cds3d.green_3d(fem.truncate_basis(basis, 40), 1.0, r, phi,
+                           theta, src)
         # the live cells of the 24 radii x 40 modes, asked once per
         # radius whatever the angles
         radii = r[:, 0]
@@ -382,13 +383,15 @@ class TestSurvival3d:
         src = _source(basis_table1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            b50 = fem.truncate_basis(basis, 50)
+            b80 = fem.truncate_basis(basis, 80)
             for tau in (1.0, 5.0):
-                q50 = cds3d.survival_3d(basis, tau, src, n_terms=50)
-                q80 = cds3d.survival_3d(basis, tau, src, n_terms=80)
+                q50 = cds3d.survival_3d(b50, tau, src)
+                q80 = cds3d.survival_3d(b80, tau, src)
                 assert q50 == pytest.approx(q80, rel=1e-3)
             near = cds3d.transform_3d(spec, 0.9, 1.2, 1.0)
-            q50 = cds3d.survival_3d(basis, 0.25, near, n_terms=50)
-            q80 = cds3d.survival_3d(basis, 0.25, near, n_terms=80)
+            q50 = cds3d.survival_3d(b50, 0.25, near)
+            q80 = cds3d.survival_3d(b80, 0.25, near)
             assert q50 == pytest.approx(q80, rel=1e-3)
 
 
@@ -443,8 +446,8 @@ class TestPricing:
         spec, basis = basis_table1
         src = _source(basis_table1)
         grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
-        cva = cds3d.cva_3d(basis, spec, src, TERMS, 0.5, grid=grid)
-        dva = cds3d.dva_3d(basis, spec, src, TERMS, 0.4, grid=grid)
+        cva = cds3d.cva_3d(grid, TERMS, 0.5)
+        dva = cds3d.dva_3d(grid, TERMS, 0.4)
         assert cva > 0.0
         assert dva > 0.0
         assert cva < 0.6    # bounded by the loss-given-default cap
@@ -456,10 +459,10 @@ class TestPricing:
         g1 = cds3d.prepare_pricing(basis, spec, src, TERMS)
         g2 = cds3d.prepare_pricing(basis, spec, src, TERMS,
                                    n_time=96, n_radial=400)
-        c1 = cds3d.cva_3d(basis, spec, src, TERMS, 0.5, grid=g1)
-        c2 = cds3d.cva_3d(basis, spec, src, TERMS, 0.5, grid=g2)
-        d1 = cds3d.dva_3d(basis, spec, src, TERMS, 0.4, grid=g1)
-        d2 = cds3d.dva_3d(basis, spec, src, TERMS, 0.4, grid=g2)
+        c1 = cds3d.cva_3d(g1, TERMS, 0.5)
+        c2 = cds3d.cva_3d(g2, TERMS, 0.5)
+        d1 = cds3d.dva_3d(g1, TERMS, 0.4)
+        d2 = cds3d.dva_3d(g2, TERMS, 0.4)
         assert c1 == pytest.approx(c2, rel=5e-4)
         assert d1 == pytest.approx(d2, rel=5e-4)
 
@@ -467,10 +470,10 @@ class TestPricing:
             self, octant_basis, basis_table1):
         spec_o, basis_o = octant_basis
         spec_t, basis_t = basis_table1
-        cva_o = cds3d.cva_3d(basis_o, spec_o, _source(octant_basis),
-                             TERMS, 0.5)
-        cva_t = cds3d.cva_3d(basis_t, spec_t, _source(basis_table1),
-                             TERMS, 0.5)
+        cva_o = cds3d.cva_3d(cds3d.prepare_pricing(
+            basis_o, spec_o, _source(octant_basis), TERMS), TERMS, 0.5)
+        cva_t = cds3d.cva_3d(cds3d.prepare_pricing(
+            basis_t, spec_t, _source(basis_table1), TERMS), TERMS, 0.5)
         assert cva_t > 1.5 * cva_o
 
     def test_cva_falls_as_seller_gets_safer(self, basis_table1):
@@ -478,7 +481,8 @@ class TestPricing:
         vals = []
         for x0 in (X0, 2.5, 4.0):
             src = cds3d.transform_3d(spec, x0, Y0, Z0)
-            vals.append(cds3d.cva_3d(basis, spec, src, TERMS, 0.5))
+            grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+            vals.append(cds3d.cva_3d(grid, TERMS, 0.5))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.2 * vals[0]
 
@@ -486,8 +490,10 @@ class TestPricing:
         spec, basis = basis_table1
         near = cds3d.transform_3d(spec, X0, Y0, Z0)
         far = cds3d.transform_3d(spec, X0, Y0, 3.0)
-        d_near = cds3d.dva_3d(basis, spec, near, TERMS, 0.4)
-        d_far = cds3d.dva_3d(basis, spec, far, TERMS, 0.4)
+        d_near = cds3d.dva_3d(
+            cds3d.prepare_pricing(basis, spec, near, TERMS), TERMS, 0.4)
+        d_far = cds3d.dva_3d(
+            cds3d.prepare_pricing(basis, spec, far, TERMS), TERMS, 0.4)
         assert d_far < d_near
 
     def test_reduces_to_two_driver_price(self, reduction_basis):
@@ -495,7 +501,8 @@ class TestPricing:
         # collapses onto the two-driver wedge value
         spec, basis = reduction_basis
         src = cds3d.transform_3d(spec, X0, Y0, 6.0)
-        c3 = cds3d.cva_3d(basis, spec, src, TERMS, 0.5)
+        c3 = cds3d.cva_3d(cds3d.prepare_pricing(basis, spec, src, TERMS),
+                          TERMS, 0.5)
         wedge = cds2d.to_wedge(X0, Y0, 0.8)
         c2 = cds2d.cva_2d(wedge, TERMS, recovery_seller=0.5)
         assert c3 == pytest.approx(c2, rel=0.05)
@@ -508,9 +515,10 @@ class TestPricing:
         for z0 in (10.0, 50.0):
             src = cds3d.transform_3d(spec, X0, Y0, z0)
             tail = math.erfc(z0 / math.sqrt(2.0 * TERMS.maturity))
-            c3 = cds3d.cva_3d(basis, spec, src, TERMS, 0.5)
+            grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+            c3 = cds3d.cva_3d(grid, TERMS, 0.5)
             assert abs(c3 - c2) <= 0.5 * 0.6 * tail + 1e-9 * c2
-            d3 = cds3d.dva_3d(basis, spec, src, TERMS, 0.4)
+            d3 = cds3d.dva_3d(grid, TERMS, 0.4)
             assert 0.0 <= d3 <= 0.6 * TERMS.coupon * TERMS.maturity * tail
             q3 = cds3d.survival_3d(basis, TERMS.maturity, src)
             assert q2 - tail - 1e-9 * q2 <= q3 <= q2 * (1.0 + 1e-9)
@@ -605,8 +613,8 @@ class TestBreakeven:
         src = _source(octant_basis)
         kw = dict(recovery_seller=0.5, recovery_buyer=0.4,
                   y0_reference=Y0)
-        bec = {m: cds3d.breakeven_coupon_3d(basis, spec, src, TERMS,
-                                            adjust=m, **kw)
+        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
                for m in ("none", "cva", "dva", "bilateral")}
         assert bec["none"] == pytest.approx(
             cds1d.breakeven_coupon_1d(5.0, Y0, 0.02, 0.4), rel=1e-12)
@@ -615,39 +623,39 @@ class TestBreakeven:
     def test_bilateral_root_zeroes_adjusted_value(self, octant_basis):
         spec, basis = octant_basis
         src = _source(octant_basis)
+        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
         c = cds3d.breakeven_coupon_3d(
-            basis, spec, src, TERMS, recovery_seller=0.5,
-            recovery_buyer=0.4, y0_reference=Y0, adjust="bilateral")
+            grid, TERMS, recovery_seller=0.5, recovery_buyer=0.4,
+            y0_reference=Y0, adjust="bilateral")
         t2 = CdsTerms(coupon=c, rate=TERMS.rate, recovery=TERMS.recovery,
                       maturity=TERMS.maturity)
-        grid = cds3d.prepare_pricing(basis, spec, src, t2)
-        v = (cds1d.cds_value_1d(5.0, Y0, t2).value
-             - cds3d.cva_3d(basis, spec, src, t2, 0.5, grid=grid)
-             + cds3d.dva_3d(basis, spec, src, t2, 0.4, grid=grid))
+        v = (cds1d.cds_values_1d(5.0, Y0, t2)
+             - cds3d.cva_3d(grid, t2, 0.5)
+             + cds3d.dva_3d(grid, t2, 0.4))
         assert abs(v) < 1e-9
 
     def test_unreachable_buyer_root_zeroes_adjusted_value(
             self, reduction_basis, monkeypatch):
         # a buyer that cannot default by maturity is priced on the
-        # seller-reference wedge alone: no three-name grid, no DVA
+        # seller-reference wedge alone: no three-name kernel, no DVA
         spec, basis = reduction_basis
         src = cds3d.transform_3d(spec, X0, Y0, 50.0)
 
-        def no_grid(*args, **kwargs):
-            raise AssertionError("three-name grid built")
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("three-name kernel evaluated")
 
-        monkeypatch.setattr(cds3d, "prepare_pricing", no_grid)
+        monkeypatch.setattr(cds3d, "_radial_kernel", no_kernel)
+        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
         kw = dict(recovery_seller=0.5, recovery_buyer=0.4,
                   y0_reference=Y0)
-        bec = {m: cds3d.breakeven_coupon_3d(basis, spec, src, TERMS,
-                                            adjust=m, **kw)
+        bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
                for m in ("none", "cva", "bilateral")}
         assert bec["cva"] == bec["bilateral"] < bec["none"]
         t2 = CdsTerms(coupon=bec["bilateral"], rate=TERMS.rate,
                       recovery=TERMS.recovery, maturity=TERMS.maturity)
-        v = (cds1d.cds_value_1d(5.0, Y0, t2).value
-             - cds3d.cva_3d(basis, spec, src, t2, 0.5)
-             + cds3d.dva_3d(basis, spec, src, t2, 0.4))
+        v = (cds1d.cds_values_1d(5.0, Y0, t2)
+             - cds3d.cva_3d(grid, t2, 0.5)
+             + cds3d.dva_3d(grid, t2, 0.4))
         assert abs(v) < 1e-9
 
     def test_far_buyer_prices_with_few_wedge_quadratures(
@@ -675,8 +683,9 @@ class TestBreakeven:
         src = cds3d.transform_3d(spec, X0, Y0, 50.0)
         wedge = cds3d._unreachable_buyer_wedge(spec, src, TERMS.maturity)
         got = cds3d.breakeven_coupon_3d(
-            basis, spec, src, TERMS, recovery_seller=0.5,
-            recovery_buyer=0.4, y0_reference=Y0, adjust="cva")
+            cds3d.prepare_pricing(basis, spec, src, TERMS), TERMS,
+            recovery_seller=0.5, recovery_buyer=0.4, y0_reference=Y0,
+            adjust="cva")
         d0, a0 = cds1d._legs_1d(TERMS.maturity, Y0, TERMS.rate,
                                 TERMS.recovery)
 
@@ -697,17 +706,17 @@ class TestBreakeven:
         x0, y0, z0 = 1.863937644072288, 2.503456943005701, 2.985653180560821
         src = cds3d.transform_3d(spec, x0, y0, z0)
         terms = replace(TERMS, maturity=1.0)
-        quad = dict(n_time=24, n_radial=100)
+        grid = cds3d.prepare_pricing(basis, spec, src, terms, n_time=24,
+                                     n_radial=100)
         bec = {m: cds3d.breakeven_coupon_3d(
-                   basis, spec, src, terms, recovery_seller=0.5,
-                   recovery_buyer=0.4, y0_reference=y0, adjust=m, **quad)
+                   grid, terms, recovery_seller=0.5, recovery_buyer=0.4,
+                   y0_reference=y0, adjust=m)
                for m in ("none", "cva", "dva", "bilateral")}
         # the roots carry brentq's 1e-12 round-off
         assert bec["dva"] >= bec["none"] * (1.0 - 1e-12)
         assert bec["bilateral"] >= bec["cva"] * (1.0 - 1e-12)
         t2 = replace(terms, coupon=bec["bilateral"])
-        grid = cds3d.prepare_pricing(basis, spec, src, t2, **quad)
-        v = (cds1d.cds_value_1d(1.0, y0, t2).value
-             - cds3d.cva_3d(basis, spec, src, t2, 0.5, grid=grid)
-             + cds3d.dva_3d(basis, spec, src, t2, 0.4, grid=grid))
+        v = (cds1d.cds_values_1d(1.0, y0, t2)
+             - cds3d.cva_3d(grid, t2, 0.5)
+             + cds3d.dva_3d(grid, t2, 0.4))
         assert abs(v) < 1e-9

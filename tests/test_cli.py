@@ -2,11 +2,12 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tricva import cds3d, cli, mc_oracle
+from tricva import cds3d, cli, fem, mc_oracle
 
 
 def _write_config(path, **sections):
@@ -156,20 +157,59 @@ class TestPrice:
         assert _run(tmp_path, "price", cfgp) == cli.OK
         assert built == [1.0, 5.0]
         # a buyer 20 from its barrier, past z > 4 sqrt(T) at both
-        # maturities, is priced on the two-name wedge: no grid, and no
-        # DVA leg to move the bilateral coupon off the CVA-only one
-        built.clear()
+        # maturities, is priced on the two-name wedge: its grids evaluate
+        # no three-name kernel, and no DVA leg moves the bilateral coupon
+        # off the CVA-only one
+        kernels = []
+        kernel = cds3d._radial_kernel
+
+        def recorded(*args, **kwargs):
+            kernels.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cds3d, "_radial_kernel", recorded)
         far = _write_config(tmp_path / "f.json", rho=rho,
                             firms={"Z": {"equity": 1.26,
                                          "volatility": 0.063}})
         assert _run(tmp_path, "price", far) == cli.OK
-        assert built == []
+        assert kernels == []
         lines = (tmp_path / "out" / "price.csv").read_text().splitlines()
         assert len(lines) == 4
         for line in lines[2:]:
             vals = dict(zip(lines[1].split(","), line.split(",")))
             assert vals["bec_bilateral"] == vals["bec_cva_only"]
             assert float(vals["dva"]) == 0.0
+
+    def test_deeper_cache_prices_its_leading_modes(self, tmp_path, caplog):
+        # a cache holding more modes than asked is cut to the first ones:
+        # the prices are those of the cached basis truncated, bit for bit
+        cfgp = _write_config(tmp_path / "c.json",
+                             rho={"xy": 0.8, "xz": 0.5, "yz": 0.3})
+        assert _run(tmp_path, "eig", cfgp, "--terms", "60") == cli.OK
+        with caplog.at_level(logging.INFO, logger="tricva"):
+            assert _run(tmp_path, "price", cfgp, "--terms", "40") == cli.OK
+        assert "cache hit" in caplog.text
+        cfg = cli.load_config(cfgp, terms=60)
+        spec, deep, _ = cli.ensure_basis(cfg, tmp_path / "cache")
+        assert deep.n_modes == 60
+        basis = fem.truncate_basis(deep, 40)
+        x0, y0, z0 = cfg.drivers
+        source = cds3d.transform_3d(spec, x0, y0, z0)
+        lines = (tmp_path / "out" / "price.csv").read_text().splitlines()
+        assert len(lines) == 2 + len(cfg.maturities)
+        for line, mat in zip(lines[2:], cfg.maturities):
+            p = cds3d.price_3d(basis, spec, source,
+                               replace(cfg.terms, maturity=mat),
+                               cfg.firms["X"].recovery,
+                               cfg.firms["Z"].recovery, y0,
+                               **cfg.quadrature)
+            want = [mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
+                    p.bec_bilateral, p.cva, p.dva,
+                    cds3d.survival_3d(basis, mat, source)]
+            assert [float(c) for c in line.split(",")] == want
+        assert _run(tmp_path, "eig", cfgp, "--terms", "40") == cli.OK
+        rows = (tmp_path / "out" / "eig.csv").read_text().splitlines()[2:]
+        assert len(rows) == 40
 
 
 class TestValidate:
