@@ -36,7 +36,7 @@ from .specfun import (bessel_i_scaled, gauss_legendre, ln_gamma,
 _ORDER_CAP = 4000
 # Skip boundary-flux evaluation when the source cannot have reached the edge:
 # exp(-d^2/2tau) below ~1e-350 underflows any payout it multiplies.
-_REACH_EXPONENT = 800.0
+_UNDERFLOW_EXPONENT = 800.0
 # Bessel cells whose Gaussian prefactor is below this fraction of their
 # grid's largest are skipped: with ive <= 1 they hold at most that
 # fraction of the largest row's scale.
@@ -205,7 +205,7 @@ def _free_kernel_factor(tau, r, r0, psi, p):
     # exp(-(r^2+r0^2-2 r r0 cos psi)/2tau) h(p, psi) / (2 pi tau) with the
     # exponent written against (r-r0)^2 so it never overflows
     ex = -0.5 * ((r - r0) ** 2 + 2.0 * r * r0 * (1.0 - math.cos(psi))) / tau
-    if ex < -_REACH_EXPONENT:
+    if ex < -_UNDERFLOW_EXPONENT:
         return 0.0
     return math.exp(ex) * h_kernel(p, psi) / (2.0 * math.pi * tau)
 
@@ -370,7 +370,8 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
     # closest approach of the source to the seller edge
     gap = wedge.r0 * math.sin(min(wedge.varpi - wedge.phi0, 0.5 * math.pi))
     # nodes the diffusion cannot reach, and the exposure root of the rest
-    reach = (gap * gap / (2.0 * t_nodes) <= _REACH_EXPONENT) & (t_nodes < T)
+    reach = ((gap * gap / (2.0 * t_nodes) <= _UNDERFLOW_EXPONENT)
+             & (t_nodes < T))
     r_stars = np.zeros_like(t_nodes)
     r_stars[reach] = exposure_root(T - t_nodes[reach], terms,
                                    wedge.rho_bar * r_hi) / wedge.rho_bar

@@ -17,12 +17,12 @@ its (time, radius) x order grid only, by the rule of cds2d._live_cells.
 Every series runs over all modes of the basis it is given; a shallower
 sum is a price on fem.truncate_basis.
 
-A PricingGrid is one contract: prepare_pricing decides its regime, and
-the legs and roots read only the grid. A buyer past the reach cut gets a
-grid that holds the seller-reference wedge, on which the CVA is cva_2d,
-the DVA is 0 and the CVA-only break-even coupon is a Newton root on the
-wedge CVA's exact coupon slope. survival_3d, which takes no grid, makes
-the same cut itself.
+A PricingGrid is one contract: prepare_pricing reads the chart and the
+driver distances off the source, decides the regime, and the legs and
+roots read only the grid. A buyer past the reach cut gets a grid that
+holds the seller-reference wedge, on which the CVA is cva_2d and the DVA
+is 0. survival_3d, which takes no grid, makes the same cut itself.
+Every break-even coupon is one Newton root on the legs' exact slopes.
 """
 
 import math
@@ -30,12 +30,13 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import root_scalar
 
 from . import cds1d
+# cva_2d is not called here; perfbench's tracer hooks it by this name
 from .cds2d import (WedgeCoords, _cva_2d_with_slope, _live_cells, cva_2d,
                     survival_2d, to_wedge)
-from .domain3d import correlate, decorrelate
+from .domain3d import decorrelate
 from .fem import eval_basis
 from .specfun import bessel_i_scaled, gauss_legendre, ln_gamma, ln_hyp1f1_neg
 
@@ -56,13 +57,16 @@ class TruncationWarning(RuntimeWarning):
 class SphericalPoint:
     """Source location in the chart: radius and angles.
 
-    domain is the chart the point was mapped into; transform_3d sets it
-    so that survival_3d can map the source back to driver distances.
+    domain is the chart the point was mapped into and drivers the
+    (seller, reference, buyer) distances it was mapped from. transform_3d
+    sets both: prepare_pricing and survival_3d read the contract's chart
+    and distances off them. Neither enters equality or repr.
     """
     r0: float
     phi0: float
     theta0: float
     domain: object = field(default=None, repr=False, compare=False)
+    drivers: tuple = field(default=None, repr=False, compare=False)
 
 
 def transform_3d(domain, x0, y0, z0):
@@ -73,18 +77,11 @@ def transform_3d(domain, x0, y0, z0):
     r0 = math.sqrt(a * a + b * b + g * g)
     phi0 = math.atan2(a, b)
     theta0 = math.acos(min(max(g / r0, -1.0), 1.0))
-    return SphericalPoint(r0=r0, phi0=phi0, theta0=theta0, domain=domain)
+    return SphericalPoint(r0=r0, phi0=phi0, theta0=theta0, domain=domain,
+                          drivers=(x0, y0, z0))
 
 
-def _driver_distances(domain, source):
-    """Map a chart source back to its driver distances (x, y, z)."""
-    st = math.sin(source.theta0)
-    return correlate(domain, source.r0 * st * math.sin(source.phi0),
-                     source.r0 * st * math.cos(source.phi0),
-                     source.r0 * math.cos(source.theta0))
-
-
-def _unreachable_buyer_wedge(domain, source, horizon):
+def _unreachable_buyer_wedge(source, horizon):
     """Seller-reference wedge when the buyer cannot default by horizon.
 
     The buyer counts as unreachable once z^2 / 2T exceeds
@@ -92,15 +89,15 @@ def _unreachable_buyer_wedge(domain, source, horizon):
     tapers the buyer's flux at every time node. The three-name problem
     then reduces to the two-name wedge of seller and reference, up to
     the buyer's crossing mass erfc(z / sqrt(2T)) < 6.4e-5. Returns None
-    while the buyer is reachable, or when the chart is unknown. Only
-    survival_3d and prepare_pricing make this cut.
+    while the buyer is reachable, or when the source carries no driver
+    distances. Only survival_3d and prepare_pricing make this cut.
     """
-    if domain is None:
+    if source.drivers is None:
         return None
-    x, y, z = _driver_distances(domain, source)
+    x, y, z = source.drivers
     if z * z / (2.0 * horizon) <= _REACH_EXPONENT:
         return None
-    return to_wedge(x, y, domain.rho_xy)
+    return to_wedge(x, y, source.domain.rho_xy)
 
 
 def _scalar_tau(tau):
@@ -191,7 +188,7 @@ def survival_3d(basis, tau, source):
     source must come from transform_3d for this check to apply.
     """
     tau = _scalar_tau(tau)
-    wedge = _unreachable_buyer_wedge(source.domain, source, tau)
+    wedge = _unreachable_buyer_wedge(source, tau)
     if wedge is not None:
         return survival_2d(tau, wedge)
     nu = basis.nu
@@ -261,7 +258,8 @@ class PricingGrid:
     The 1D CDS value on each face grid is linear in the coupon,
     V = D - coupon A, so the default legs D and risky annuities A at
     every (time left, radius, face node) are computed once here; a
-    valuation at another coupon only rescales the annuities.
+    valuation at another coupon only rescales the annuities. d0 and a0
+    are the plain contract's legs at the reference's own distance.
 
     A buyer past the reach cut (prepare_pricing) leaves the grid with the
     seller-reference wedge alone: wedge is then set and every array is
@@ -270,6 +268,8 @@ class PricingGrid:
     maturity: float
     rate: float
     recovery: float
+    d0: float
+    a0: float
     wedge: WedgeCoords = None
     t_nodes: np.ndarray = None
     t_weights: np.ndarray = None
@@ -308,20 +308,31 @@ def _face_distances(domain, fluxes, r_nodes):
     return y_s, np.outer(r_nodes, ray)
 
 
-def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200):
-    """The contract's pricing grid: its regime, and for a reachable buyer
-    the time/radius grids, per-face flux tensors and 1D legs.
+def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
+    """The contract's pricing grid: its regime, the plain legs at the
+    reference's distance, and for a reachable buyer the time/radius
+    grids, per-face flux tensors and 1D legs.
 
-    A buyer with z > 4 sqrt(T) cannot default by maturity: the grid then
-    holds the seller-reference wedge and no flux tensors, and no
-    three-name kernel is evaluated. Otherwise the radial kernel is
-    evaluated on its live cells only (cds2d._live_cells); the skipped
-    cells' share of each flux is bounded there.
+    The chart and the driver distances come from the source, which must
+    come from transform_3d (ValueError otherwise). A buyer with
+    z > 4 sqrt(T) cannot default by maturity: the grid then holds the
+    seller-reference wedge and no flux tensors, and no three-name kernel
+    is evaluated. Otherwise the radial kernel is evaluated on its live
+    cells only (cds2d._live_cells); the skipped cells' share of each
+    flux is bounded there.
     """
-    wedge = _unreachable_buyer_wedge(domain, source, terms.maturity)
+    domain = source.domain
+    if domain is None or source.drivers is None:
+        raise ValueError("source carries no chart or driver distances: "
+                         "map it with transform_3d")
+    x_gap, y0, z_gap = source.drivers
+    rate, recovery = terms.rate, terms.recovery
+    d0, a0 = cds1d._legs_1d(terms.maturity, y0, rate, recovery)
+    contract = dict(maturity=terms.maturity, rate=rate, recovery=recovery,
+                    d0=float(d0), a0=float(a0))
+    wedge = _unreachable_buyer_wedge(source, terms.maturity)
     if wedge is not None:
-        return PricingGrid(maturity=terms.maturity, rate=terms.rate,
-                           recovery=terms.recovery, wedge=wedge)
+        return PricingGrid(**contract, wedge=wedge)
     fluxes = _variational_face_fluxes(basis, domain)
     t_nodes, t_w = gauss_legendre(n_time, 0.0, terms.maturity)
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
@@ -333,7 +344,6 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200):
     flux_s = np.einsum("ijn,kn->ijk", rad, fluxes.seller_coeff)
     flux_b = np.einsum("ijn,kn->ijk", rad, fluxes.buyer_coeff)
 
-    x_gap, _, z_gap = _driver_distances(domain, source)
     for flux, gap in ((flux_s, x_gap), (flux_b, z_gap)):
         ex = gap * gap / (2.0 * t_nodes)
         flux *= np.exp(np.minimum(0.0, _REACH_EXPONENT - ex))[:, None, None]
@@ -341,39 +351,50 @@ def prepare_pricing(basis, domain, source, terms, n_time=48, n_radial=200):
     tau_left = (terms.maturity - t_nodes)[:, None, None]
     y_s, y_b = (y[None, :, :]
                 for y in _face_distances(domain, fluxes, r_nodes))
-    rate, recovery = terms.rate, terms.recovery
     d_s, a_s = cds1d._legs_1d(tau_left, y_s, rate, recovery)
     d_b, a_b = cds1d._legs_1d(tau_left, y_b, rate, recovery)
     return PricingGrid(
-        maturity=terms.maturity, rate=rate, recovery=recovery,
-        t_nodes=t_nodes, t_weights=t_w, r_nodes=r_nodes, r_weights=r_w,
-        flux_seller=flux_s, flux_buyer=flux_b,
+        **contract, t_nodes=t_nodes, t_weights=t_w, r_nodes=r_nodes,
+        r_weights=r_w, flux_seller=flux_s, flux_buyer=flux_b,
         default_seller=d_s, annuity_seller=a_s,
         default_buyer=d_b, annuity_buyer=a_b)
 
 
 def _leg(grid, terms, which, recovery):
-    """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do."""
+    """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do, and
+    its exact derivative in the coupon.
+
+    On the three-name grid V = D - coupon A, so the slope is the same
+    contraction with -A in place of V, summed where the exposure is on
+    the leg's side (V > 0 for the CVA, V < 0 for the DVA); a leg the
+    report clamps to 0 has slope 0. On the wedge the CVA and its slope
+    come from one quadrature (cds2d._cva_2d_with_slope) and the DVA is 0.
+    """
+    grid.check_terms(terms)
     if grid.wedge is not None:
-        grid.check_terms(terms)
-        return cva_2d(grid.wedge, terms, recovery) if which == "cva" else 0.0
+        if which == "cva":
+            return _cva_2d_with_slope(grid.wedge, terms, recovery)
+        return 0.0, 0.0
     if which == "cva":
         exposure = grid.face_values(terms, "seller")
         np.maximum(exposure, 0.0, out=exposure)
-        flux = grid.flux_seller
+        annuity, flux = grid.annuity_seller, grid.flux_seller
     else:
         exposure = grid.face_values(terms, "buyer")
         np.minimum(exposure, 0.0, out=exposure)
-        flux = grid.flux_buyer
-    disc = np.exp(-terms.rate * grid.t_nodes)
-    inner = np.einsum("ijk,ijk,j->i", exposure, flux, grid.r_weights)
-    leg = -0.5 * float(np.sum(grid.t_weights * disc * inner))
+        annuity, flux = grid.annuity_buyer, grid.flux_buyer
+    annuity = np.where(exposure != 0.0, annuity, 0.0)
+    weights = grid.t_weights * np.exp(-terms.rate * grid.t_nodes)
+    leg, slope = (-0.5 * float(np.sum(
+        weights * np.einsum("ijk,ijk,j->i", v, flux, grid.r_weights)))
+        for v in (exposure, -annuity))
     # the seller's leg is a loss; the buyer's is non-positive and its
     # sign flip makes the bilateral value V - cva + dva. Truncation
     # noise can push a vanishing adjustment a hair negative.
-    if which == "cva":
-        return max(0.0, (1.0 - recovery) * leg)
-    return max(0.0, -(1.0 - recovery) * leg)
+    scale = (1.0 - recovery) if which == "cva" else -(1.0 - recovery)
+    if not scale * leg > 0.0:
+        return 0.0, 0.0
+    return scale * leg, scale * slope
 
 
 def cva_3d(grid, terms, recovery_seller):
@@ -388,7 +409,7 @@ def cva_3d(grid, terms, recovery_seller):
     default quadrature), within (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of
     the three-name value.
     """
-    return _leg(grid, terms, "cva", recovery_seller)
+    return _leg(grid, terms, "cva", recovery_seller)[0]
 
 
 def dva_3d(grid, terms, recovery_buyer):
@@ -403,78 +424,49 @@ def dva_3d(grid, terms, recovery_buyer):
     maturity, the value is 0.0; the true one is at most
     (1 - R_b) coupon T erfc(z / sqrt(2T)).
     """
-    return _leg(grid, terms, "dva", recovery_buyer)
+    return _leg(grid, terms, "dva", recovery_buyer)[0]
 
 
 def breakeven_coupon_3d(grid, terms, recovery_seller, recovery_buyer,
-                        y0_reference, adjust):
+                        adjust):
     """Coupon that zeroes the adjusted contract value.
 
-    adjust picks which legs enter: "none" reproduces the plain two-name
-    coupon, "cva" charges the seller leg, "dva" credits the buyer leg,
-    "bilateral" both, each as cva_3d and dva_3d report it on grid,
-    prepare_pricing's grid for these terms at any coupon. y0_reference
-    is the reference's own distance used for the unadjusted value.
+    adjust picks which legs enter: "none" reproduces the plain coupon
+    d0/a0 (the grid's legs at the reference's distance), "cva" charges
+    the seller leg, "dva" credits the buyer leg, "bilateral" both, each
+    as cva_3d and dva_3d report it on grid, prepare_pricing's grid for
+    these terms at any coupon; any other adjust is a ValueError. On the
+    grid of a buyer with z > 4 sqrt(T) the adjusted value is off by at
+    most the sum of the two legs' error bounds there.
 
-    On the grid of a buyer with z > 4 sqrt(T), who cannot default by
-    maturity, the CVA leg is cva_2d on the seller-reference wedge and
-    the DVA leg is zero, as in cva_3d and dva_3d; the adjusted value is
-    off by at most the sum of their two error bounds. That root is
-    Newton's (_wedge_breakeven); the three-name grid roots are brentq's,
-    as the bilateral grid value need not be concave.
+    The root of f(c) = (d0/a0 - c) a0 - cva(c) + dva(c), which is exactly
+    0 at the plain coupon while no leg enters, is one Newton solve from
+    there on the legs' exact slopes (_leg). It stops once a step is
+    below 1e-12 (1 + c) and raises RuntimeError after 30 steps.
     """
+    if adjust not in ("none", "cva", "dva", "bilateral"):
+        raise ValueError("adjust must be one of none, cva, dva, "
+                         "bilateral, not %r" % (adjust,))
     grid.check_terms(terms)
-    # the closed-form value is linear in the coupon: V = D - coupon A
-    d0, a0 = cds1d._legs_1d(terms.maturity, y0_reference, terms.rate,
-                            terms.recovery)
-    plain = d0 / a0
-    if adjust == "none":
-        return plain
-    if grid.wedge is not None:
-        if adjust == "dva":
-            return plain
-        return _wedge_breakeven(grid.wedge, terms, recovery_seller, d0, a0,
-                                plain)
+    plain = grid.d0 / grid.a0
 
     def adjusted(coupon):
         t = replace(terms, coupon=coupon)
-        value = d0 - coupon * a0
+        value, slope = (plain - coupon) * grid.a0, -grid.a0
         if adjust in ("cva", "bilateral"):
-            value -= _leg(grid, t, "cva", recovery_seller)
+            cva, d_cva = _leg(grid, t, "cva", recovery_seller)
+            value, slope = value - cva, slope - d_cva
         if adjust in ("dva", "bilateral"):
-            value += _leg(grid, t, "dva", recovery_buyer)
-        return value
+            dva, d_dva = _leg(grid, t, "dva", recovery_buyer)
+            value, slope = value + dva, slope + d_dva
+        return value, slope
 
-    lo, hi = 0.25 * plain, 4.0 * plain + 1e-4
-    flo, fhi = adjusted(lo), adjusted(hi)
-    for _ in range(30):
-        if flo * fhi <= 0.0:
-            break
-        lo *= 0.5
-        hi *= 1.5
-        flo, fhi = adjusted(lo), adjusted(hi)
-    else:
-        raise RuntimeError("no breakeven coupon bracket found")
-    return brentq(adjusted, lo, hi, xtol=1e-12, rtol=1e-12)
-
-
-def _wedge_breakeven(wedge, terms, recovery_seller, d0, a0, coupon):
-    """Root of f(c) = d0 - c a0 - cva_2d(c) by Newton from the plain coupon.
-
-    The exposure's positive part is convex in the coupon, so f is concave
-    and decreasing. At the plain coupon f = -cva <= 0, so each Newton
-    step lands between the root and the last iterate: the steps fall
-    monotonically onto the root. The slope -a0 - d cva / d coupon comes
-    exactly from the same quadrature (cds2d._cva_2d_with_slope).
-    """
-    for _ in range(30):
-        cva, slope = _cva_2d_with_slope(wedge, replace(terms, coupon=coupon),
-                                        recovery_seller)
-        step = (d0 - coupon * a0 - cva) / (-a0 - slope)
-        coupon -= step
-        if abs(step) < 1e-12 * (1.0 + abs(coupon)):
-            return coupon
-    raise RuntimeError("wedge breakeven Newton did not converge")
+    root = root_scalar(adjusted, x0=plain, fprime=True, method="newton",
+                       xtol=1e-12, rtol=1e-12, maxiter=30)
+    if not root.converged:
+        raise RuntimeError("breakeven Newton did not converge: %s"
+                           % root.flag)
+    return float(root.root)
 
 
 @dataclass(frozen=True)
@@ -488,20 +480,21 @@ class Price3d:
     dva: float
 
 
-def price_3d(basis, domain, source, terms, recovery_seller, recovery_buyer,
-             y0_reference, n_time=48, n_radial=200):
+def price_3d(basis, source, terms, recovery_seller, recovery_buyer,
+             n_time=48, n_radial=200):
     """The four break-even coupons, CVA and DVA of one contract.
 
     Every root and both adjustments (at terms.coupon) read one
-    prepare_pricing grid. On the grid of a buyer with z > 4 sqrt(T) the
-    DVA leg is zero, so the bilateral coupon is the CVA-only one, rooted
-    once on the two-name wedge.
+    prepare_pricing grid, built from the source's chart and driver
+    distances. On the grid of a buyer with z > 4 sqrt(T) the DVA leg is
+    zero, so the bilateral coupon is the CVA-only one, rooted once on
+    the two-name wedge.
     """
-    grid = prepare_pricing(basis, domain, source, terms, n_time, n_radial)
+    grid = prepare_pricing(basis, source, terms, n_time, n_radial)
 
     def coupon(adjust):
         return breakeven_coupon_3d(grid, terms, recovery_seller,
-                                   recovery_buyer, y0_reference, adjust)
+                                   recovery_buyer, adjust)
 
     bec_cva = coupon("cva")
     return Price3d(

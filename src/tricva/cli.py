@@ -299,16 +299,14 @@ def cmd_eig(cfg, out_dir, cache_dir):
 
 def cmd_price(cfg, out_dir, cache_dir):
     spec, basis, key = ensure_basis(cfg, cache_dir)
-    x0, y0, z0 = cfg.drivers
-    source = cds3d.transform_3d(spec, x0, y0, z0)
+    source = cds3d.transform_3d(spec, *cfg.drivers)
     rec_s = cfg.firms["X"].recovery
     rec_b = cfg.firms["Z"].recovery
     quad = cfg.quadrature
     rows = []
     for mat in cfg.maturities:
-        p = cds3d.price_3d(basis, spec, source,
-                           replace(cfg.terms, maturity=mat), rec_s, rec_b,
-                           y0, n_time=quad["n_time"],
+        p = cds3d.price_3d(basis, source, replace(cfg.terms, maturity=mat),
+                           rec_s, rec_b, n_time=quad["n_time"],
                            n_radial=quad["n_radial"])
         rows.append((mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
                      p.bec_bilateral, p.cva, p.dva,
@@ -361,7 +359,7 @@ def cmd_validate(cfg, out_dir, cache_dir):
     source = cds3d.transform_3d(spec, x0, y0, z0)
     tau = cfg.terms.maturity
     quad = cfg.quadrature
-    grid = cds3d.prepare_pricing(basis, spec, source, cfg.terms,
+    grid = cds3d.prepare_pricing(basis, source, cfg.terms,
                                  n_time=quad["n_time"],
                                  n_radial=quad["n_radial"])
     model = {

@@ -114,7 +114,7 @@ def test_criterion_6_monte_carlo_cross_validation(octant_basis,
     start = time.monotonic()
     for rho, (spec, basis) in cases.items():
         source = cds3d.transform_3d(spec, X0, Y0, Z0)
-        grid = cds3d.prepare_pricing(basis, spec, source, TERMS)
+        grid = cds3d.prepare_pricing(basis, source, TERMS)
         model = {
             "survival_2d": survival_2d(tau, to_wedge(X0, Y0, rho[0])),
             "survival_3d": cds3d.survival_3d(basis, tau, source),
@@ -125,16 +125,9 @@ def test_criterion_6_monte_carlo_cross_validation(octant_basis,
         for label, steps in (("coarse", 200), ("fine", 400)):
             cfg = mc_oracle.McConfig(n_paths=100_000, dt=tau / steps,
                                      seed=29, antithetic=True)
-            cva, dva = mc_oracle.simulate_cva_dva(
+            runs[label] = mc_oracle.simulate_contract(
                 (X0, Y0, Z0), rho, TERMS, cfg,
                 recovery_seller=REC_SELLER, recovery_buyer=REC_BUYER)
-            runs[label] = {
-                "survival_2d": mc_oracle.simulate_survival(
-                    2, [X0, Y0], rho[0], tau, cfg),
-                "survival_3d": mc_oracle.simulate_survival(
-                    3, [X0, Y0, Z0], rho, tau, cfg),
-                "cva_3d": cva, "dva_3d": dva,
-            }
         for name, value in model.items():
             est = mc_oracle.richardson(runs["fine"][name],
                                        runs["coarse"][name])
@@ -154,9 +147,9 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
         source = cds3d.transform_3d(spec, X0, Y0, Z0)
         terms = CdsTerms(coupon=TERMS.coupon, rate=TERMS.rate,
                          recovery=TERMS.recovery, maturity=maturity)
-        grid = cds3d.prepare_pricing(basis, spec, source, terms)
+        grid = cds3d.prepare_pricing(basis, source, terms)
         return {adj: cds3d.breakeven_coupon_3d(
-                    grid, terms, REC_SELLER, REC_BUYER, Y0, adjust=adj)
+                    grid, terms, REC_SELLER, REC_BUYER, adjust=adj)
                 for adj in ("none", "cva", "dva", "bilateral")}
 
     # (a) uncorrelated: seller risk cheapens the coupon, buyer risk
@@ -203,7 +196,7 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
 def test_criterion_8_dimensional_reduction_far_buyer():
     spec, basis = _build((0.8, 0.0, 0.0), 1500)
     source = cds3d.transform_3d(spec, X0, Y0, 1e3)
-    three_d = cds3d.cva_3d(cds3d.prepare_pricing(basis, spec, source, TERMS),
+    three_d = cds3d.cva_3d(cds3d.prepare_pricing(basis, source, TERMS),
                            TERMS, REC_SELLER)
     two_d = cva_2d(to_wedge(X0, Y0, 0.8), TERMS, REC_SELLER)
     assert three_d == pytest.approx(two_d, rel=0.01), (

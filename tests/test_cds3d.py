@@ -58,6 +58,14 @@ class TestTransform:
         cap = domain3d.theta_max_at(spec, near_buyer.phi0)
         assert abs(near_buyer.theta0 - cap) < 1e-9
 
+    def test_records_the_drivers_outside_equality(self, octant_basis):
+        spec, _ = octant_basis
+        s = cds3d.transform_3d(spec, 1.0, 2.0, 3.0)
+        assert s.drivers == (1.0, 2.0, 3.0)
+        assert s.domain is spec
+        assert s == cds3d.SphericalPoint(s.r0, s.phi0, s.theta0)
+        assert "drivers" not in repr(s)
+
     def test_rejects_nonpositive_distance(self, octant_basis):
         spec, _ = octant_basis
         with pytest.raises(ValueError):
@@ -445,7 +453,7 @@ class TestPricing:
     def test_adjustments_nonnegative(self, basis_table1):
         spec, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        grid = cds3d.prepare_pricing(basis, src, TERMS)
         cva = cds3d.cva_3d(grid, TERMS, 0.5)
         dva = cds3d.dva_3d(grid, TERMS, 0.4)
         assert cva > 0.0
@@ -456,8 +464,8 @@ class TestPricing:
     def test_quadrature_refinement_stable(self, basis_table1):
         spec, basis = basis_table1
         src = _source(basis_table1)
-        g1 = cds3d.prepare_pricing(basis, spec, src, TERMS)
-        g2 = cds3d.prepare_pricing(basis, spec, src, TERMS,
+        g1 = cds3d.prepare_pricing(basis, src, TERMS)
+        g2 = cds3d.prepare_pricing(basis, src, TERMS,
                                    n_time=96, n_radial=400)
         c1 = cds3d.cva_3d(g1, TERMS, 0.5)
         c2 = cds3d.cva_3d(g2, TERMS, 0.5)
@@ -471,9 +479,9 @@ class TestPricing:
         spec_o, basis_o = octant_basis
         spec_t, basis_t = basis_table1
         cva_o = cds3d.cva_3d(cds3d.prepare_pricing(
-            basis_o, spec_o, _source(octant_basis), TERMS), TERMS, 0.5)
+            basis_o, _source(octant_basis), TERMS), TERMS, 0.5)
         cva_t = cds3d.cva_3d(cds3d.prepare_pricing(
-            basis_t, spec_t, _source(basis_table1), TERMS), TERMS, 0.5)
+            basis_t, _source(basis_table1), TERMS), TERMS, 0.5)
         assert cva_t > 1.5 * cva_o
 
     def test_cva_falls_as_seller_gets_safer(self, basis_table1):
@@ -481,7 +489,7 @@ class TestPricing:
         vals = []
         for x0 in (X0, 2.5, 4.0):
             src = cds3d.transform_3d(spec, x0, Y0, Z0)
-            grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+            grid = cds3d.prepare_pricing(basis, src, TERMS)
             vals.append(cds3d.cva_3d(grid, TERMS, 0.5))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.2 * vals[0]
@@ -491,9 +499,9 @@ class TestPricing:
         near = cds3d.transform_3d(spec, X0, Y0, Z0)
         far = cds3d.transform_3d(spec, X0, Y0, 3.0)
         d_near = cds3d.dva_3d(
-            cds3d.prepare_pricing(basis, spec, near, TERMS), TERMS, 0.4)
+            cds3d.prepare_pricing(basis, near, TERMS), TERMS, 0.4)
         d_far = cds3d.dva_3d(
-            cds3d.prepare_pricing(basis, spec, far, TERMS), TERMS, 0.4)
+            cds3d.prepare_pricing(basis, far, TERMS), TERMS, 0.4)
         assert d_far < d_near
 
     def test_reduces_to_two_driver_price(self, reduction_basis):
@@ -501,7 +509,7 @@ class TestPricing:
         # collapses onto the two-driver wedge value
         spec, basis = reduction_basis
         src = cds3d.transform_3d(spec, X0, Y0, 6.0)
-        c3 = cds3d.cva_3d(cds3d.prepare_pricing(basis, spec, src, TERMS),
+        c3 = cds3d.cva_3d(cds3d.prepare_pricing(basis, src, TERMS),
                           TERMS, 0.5)
         wedge = cds2d.to_wedge(X0, Y0, 0.8)
         c2 = cds2d.cva_2d(wedge, TERMS, recovery_seller=0.5)
@@ -515,7 +523,7 @@ class TestPricing:
         for z0 in (10.0, 50.0):
             src = cds3d.transform_3d(spec, X0, Y0, z0)
             tail = math.erfc(z0 / math.sqrt(2.0 * TERMS.maturity))
-            grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+            grid = cds3d.prepare_pricing(basis, src, TERMS)
             c3 = cds3d.cva_3d(grid, TERMS, 0.5)
             assert abs(c3 - c2) <= 0.5 * 0.6 * tail + 1e-9 * c2
             d3 = cds3d.dva_3d(grid, TERMS, 0.4)
@@ -530,7 +538,7 @@ class TestPricingGrid:
         # closed form at every coupon bit for bit
         spec, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        grid = cds3d.prepare_pricing(basis, src, TERMS)
         fluxes = cds3d._variational_face_fluxes(basis, spec)
         faces = cds3d._face_distances(spec, fluxes, grid.r_nodes)
         tau_left = (TERMS.maturity - grid.t_nodes)[:, None, None]
@@ -551,7 +559,7 @@ class TestPricingGrid:
             return bessel_i_scaled(nu, x)
 
         monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
-        cds3d.prepare_pricing(basis, spec, _source(basis_table1), TERMS,
+        cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
                               n_time=24, n_radial=100)
         assert 0 < sum(asked) < 0.7 * 24 * 100 * basis.n_modes
 
@@ -560,7 +568,7 @@ class TestPricingGrid:
         # the stated bound on what the skipped cells held
         spec, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS, n_time=24,
+        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=24,
                                      n_radial=100)
         t, r, r0 = grid.t_nodes, grid.r_nodes, src.r0
         nu = basis.nu
@@ -575,7 +583,7 @@ class TestPricingGrid:
             1.0)
         psi0 = fem.eval_basis(basis, src.phi0, src.theta0)[0]
         fluxes = cds3d._variational_face_fluxes(basis, spec)
-        x_gap, _, z_gap = cds3d._driver_distances(spec, src)
+        x_gap, _, z_gap = src.drivers
         for got, coeff, gap in (
                 (grid.flux_seller, fluxes.seller_coeff, x_gap),
                 (grid.flux_buyer, fluxes.buyer_coeff, z_gap)):
@@ -596,9 +604,22 @@ class TestPricingGrid:
                 np.abs(terms_n)) * taper[:, None, None]
             assert np.all(diff <= bound + round_off)
 
+    def test_takes_the_contract_from_its_source(self, basis_table1):
+        # the plain legs at the reference's own distance, and no grid for
+        # a source that carries no chart
+        _, basis = basis_table1
+        grid = cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
+                                     n_time=8, n_radial=16)
+        d0, a0 = cds1d._legs_1d(TERMS.maturity, Y0, TERMS.rate,
+                                TERMS.recovery)
+        assert (grid.d0, grid.a0) == (d0, a0)
+        bare = cds3d.SphericalPoint(r0=3.0, phi0=0.6, theta0=0.8)
+        with pytest.raises(ValueError, match="transform_3d"):
+            cds3d.prepare_pricing(basis, bare, TERMS)
+
     def test_values_reject_other_terms(self, basis_table1):
         spec, basis = basis_table1
-        grid = cds3d.prepare_pricing(basis, spec, _source(basis_table1),
+        grid = cds3d.prepare_pricing(basis, _source(basis_table1),
                                      TERMS, n_time=8, n_radial=16)
         for change in ({"maturity": 4.0}, {"rate": 0.03},
                        {"recovery": 0.3}):
@@ -611,9 +632,8 @@ class TestBreakeven:
     def test_orderings_and_plain_reduction(self, octant_basis):
         spec, basis = octant_basis
         src = _source(octant_basis)
-        kw = dict(recovery_seller=0.5, recovery_buyer=0.4,
-                  y0_reference=Y0)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        kw = dict(recovery_seller=0.5, recovery_buyer=0.4)
+        grid = cds3d.prepare_pricing(basis, src, TERMS)
         bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
                for m in ("none", "cva", "dva", "bilateral")}
         assert bec["none"] == pytest.approx(
@@ -623,10 +643,10 @@ class TestBreakeven:
     def test_bilateral_root_zeroes_adjusted_value(self, octant_basis):
         spec, basis = octant_basis
         src = _source(octant_basis)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
+        grid = cds3d.prepare_pricing(basis, src, TERMS)
         c = cds3d.breakeven_coupon_3d(
             grid, TERMS, recovery_seller=0.5, recovery_buyer=0.4,
-            y0_reference=Y0, adjust="bilateral")
+            adjust="bilateral")
         t2 = CdsTerms(coupon=c, rate=TERMS.rate, recovery=TERMS.recovery,
                       maturity=TERMS.maturity)
         v = (cds1d.cds_values_1d(5.0, Y0, t2)
@@ -645,9 +665,8 @@ class TestBreakeven:
             raise AssertionError("three-name kernel evaluated")
 
         monkeypatch.setattr(cds3d, "_radial_kernel", no_kernel)
-        grid = cds3d.prepare_pricing(basis, spec, src, TERMS)
-        kw = dict(recovery_seller=0.5, recovery_buyer=0.4,
-                  y0_reference=Y0)
+        grid = cds3d.prepare_pricing(basis, src, TERMS)
+        kw = dict(recovery_seller=0.5, recovery_buyer=0.4)
         bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
                for m in ("none", "cva", "bilateral")}
         assert bec["cva"] == bec["bilateral"] < bec["none"]
@@ -673,29 +692,51 @@ class TestBreakeven:
 
         monkeypatch.setattr(cds2d, "_cva_2d_with_slope", counting)
         monkeypatch.setattr(cds3d, "_cva_2d_with_slope", counting)
-        p = cds3d.price_3d(basis, spec, src, TERMS, 0.5, 0.4, Y0)
+        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4)
         assert len(calls) <= 5
         assert p.bec_cva_only == p.bec_bilateral < p.bec_1d
         assert p.bec_dva_only == p.bec_1d
 
-    def test_far_buyer_newton_root_matches_brentq(self, reduction_basis):
-        spec, basis = reduction_basis
-        src = cds3d.transform_3d(spec, X0, Y0, 50.0)
-        wedge = cds3d._unreachable_buyer_wedge(spec, src, TERMS.maturity)
-        got = cds3d.breakeven_coupon_3d(
-            cds3d.prepare_pricing(basis, spec, src, TERMS), TERMS,
-            recovery_seller=0.5, recovery_buyer=0.4, y0_reference=Y0,
-            adjust="cva")
-        d0, a0 = cds1d._legs_1d(TERMS.maturity, Y0, TERMS.rate,
-                                TERMS.recovery)
+    @pytest.mark.parametrize("bundle, maturity", [
+        ("octant_basis", 1.0), ("octant_basis", 5.0),
+        ("basis_mixed_neg", 1.0), ("basis_mixed_neg", 5.0),
+        ("reduction_basis", 5.0)])
+    def test_newton_roots_match_tight_brentq(self, request, bundle,
+                                             maturity):
+        # the adjusted roots against a tight brentq of the reported legs;
+        # the reduction basis's buyer at z = 50 is past the cut, so its
+        # grid holds the two-name wedge, where the CVA-only root is the
+        # one that steps on the wedge quadrature
+        spec, basis = request.getfixturevalue(bundle)
+        far = bundle == "reduction_basis"
+        src = cds3d.transform_3d(spec, X0, Y0, 50.0 if far else Z0)
+        terms = replace(TERMS, maturity=maturity)
+        grid = cds3d.prepare_pricing(basis, src, terms)
+        assert (grid.wedge is not None) == far
+        d0, a0 = cds1d._legs_1d(maturity, Y0, terms.rate, terms.recovery)
+        for adjust in ("cva",) if far else ("cva", "dva", "bilateral"):
+            got = cds3d.breakeven_coupon_3d(grid, terms, 0.5, 0.4, adjust)
 
-        def adjusted(coupon):
-            return d0 - coupon * a0 - cds2d.cva_2d(
-                wedge, replace(TERMS, coupon=coupon), 0.5)
+            def adjusted(coupon):
+                t = replace(terms, coupon=coupon)
+                value = d0 - coupon * a0
+                if adjust != "dva":
+                    value -= cds3d.cva_3d(grid, t, 0.5)
+                if adjust != "cva":
+                    value += cds3d.dva_3d(grid, t, 0.4)
+                return value
 
-        want = brentq(adjusted, 0.5 * d0 / a0, d0 / a0, xtol=1e-15,
-                      rtol=1e-15)
-        assert got == pytest.approx(want, rel=1e-12)
+            want = brentq(adjusted, 0.5 * d0 / a0, 2.0 * d0 / a0,
+                          xtol=1e-15, rtol=1e-15)
+            assert got == pytest.approx(want, rel=1e-12), adjust
+
+    @pytest.mark.parametrize("adjust", ["CVA", "both", None])
+    def test_rejects_unknown_adjust(self, octant_basis, adjust):
+        _, basis = octant_basis
+        grid = cds3d.prepare_pricing(basis, _source(octant_basis), TERMS,
+                                     n_time=8, n_radial=16)
+        with pytest.raises(ValueError, match="none, cva, dva, bilateral"):
+            cds3d.breakeven_coupon_3d(grid, TERMS, 0.5, 0.4, adjust)
 
     def test_safe_buyer_roots_on_the_reported_legs(self):
         # at 1y the raw buyer leg of this safe buyer is a hair negative
@@ -706,13 +747,13 @@ class TestBreakeven:
         x0, y0, z0 = 1.863937644072288, 2.503456943005701, 2.985653180560821
         src = cds3d.transform_3d(spec, x0, y0, z0)
         terms = replace(TERMS, maturity=1.0)
-        grid = cds3d.prepare_pricing(basis, spec, src, terms, n_time=24,
+        grid = cds3d.prepare_pricing(basis, src, terms, n_time=24,
                                      n_radial=100)
         bec = {m: cds3d.breakeven_coupon_3d(
                    grid, terms, recovery_seller=0.5, recovery_buyer=0.4,
-                   y0_reference=y0, adjust=m)
+                   adjust=m)
                for m in ("none", "cva", "dva", "bilateral")}
-        # the roots carry brentq's 1e-12 round-off
+        # the roots carry the Newton stop's 1e-12 round-off
         assert bec["dva"] >= bec["none"] * (1.0 - 1e-12)
         assert bec["bilateral"] >= bec["cva"] * (1.0 - 1e-12)
         t2 = replace(terms, coupon=bec["bilateral"])

@@ -148,7 +148,7 @@ class TestPrice:
         prepare = cds3d.prepare_pricing
 
         def counted(*args, **kwargs):
-            built.append(args[3].maturity)
+            built.append(args[2].maturity)
             return prepare(*args, **kwargs)
 
         monkeypatch.setattr(cds3d, "prepare_pricing", counted)
@@ -198,10 +198,10 @@ class TestPrice:
         lines = (tmp_path / "out" / "price.csv").read_text().splitlines()
         assert len(lines) == 2 + len(cfg.maturities)
         for line, mat in zip(lines[2:], cfg.maturities):
-            p = cds3d.price_3d(basis, spec, source,
+            p = cds3d.price_3d(basis, source,
                                replace(cfg.terms, maturity=mat),
                                cfg.firms["X"].recovery,
-                               cfg.firms["Z"].recovery, y0,
+                               cfg.firms["Z"].recovery,
                                **cfg.quadrature)
             want = [mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
                     p.bec_bilateral, p.cva, p.dva,
