@@ -14,10 +14,12 @@ the survival series.
 Every Bessel series here keeps its orders up to the first at or past
 _order_cutoff(z), and no more than _ORDER_CAP of them (_series_length,
 which warns once when the cap cuts a series). The CVA's seller-edge
-flux is a (radius, order) grid evaluated on its live cells only
-(_live_cells), the rule the three-name radial kernel shares; the CVA
-quadrature also returns its exact derivative in the coupon, which the
-break-even root of a far buyer steps on.
+flux is one (time, radius) x order grid per quadrature, evaluated on
+its live cells only (_live_cells) and read off one Bessel table
+(specfun.IveTable), as the three-name radial kernel is; the series of
+one argument (green_2d_eigen, survival_2d) call the Bessel function
+directly. The CVA quadrature also returns its exact derivative in the
+coupon, which the break-even root of a far buyer steps on.
 """
 
 import math
@@ -27,16 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cds1d import _legs_1d, cds_values_1d
-from .specfun import (bessel_i_scaled, gauss_legendre, ln_gamma,
+from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
                       ln_hyp1f1_neg)
 
 # Series order cutoffs. Terms die once the Bessel order passes the argument,
 # with scale sqrt(z) for large z; the hard cap flags configurations the
 # series cannot resolve rather than silently returning a partial sum.
 _ORDER_CAP = 4000
-# Skip boundary-flux evaluation when the source cannot have reached the edge:
-# exp(-d^2/2tau) below ~1e-350 underflows any payout it multiplies.
+# An image kernel whose exponent is below -800 (exp ~ 1e-350) underflows.
 _UNDERFLOW_EXPONENT = 800.0
+# cva_2d skips a time node whose seller first-passage bound is below this
+# fraction of the whole leg's (_cva_2d_with_slope).
+_NEGLIGIBLE_NODE = 1e-16
 # Bessel cells whose Gaussian prefactor is below this fraction of their
 # grid's largest are skipped: with ive <= 1 they hold at most that
 # fraction of the largest row's scale.
@@ -107,12 +111,13 @@ def _series_length(z, first, step, what):
 
 
 def _live_cells(pref, z, nu):
-    """Flat (row, order) indices of the Bessel cells a kernel grid needs.
+    """The Bessel cells a kernel grid needs: how many of the ascending
+    orders nu each row keeps.
 
     pref and z hold each row's Gaussian prefactor and Bessel argument
-    (raveled); nu is ascending. A row is live while its prefactor is
-    above _DEAD_PREFACTOR of the grid's largest, and there it keeps the
-    orders up to _order_cutoff(z), at least the first: a prefix of nu.
+    (raveled). A row is live while its prefactor is above
+    _DEAD_PREFACTOR of the grid's largest, and there it keeps the orders
+    up to _order_cutoff(z), at least the first: a prefix of nu.
     What the skipped cells held is bounded per row by pref times the sum
     of the |coefficients| they multiply, times 1 on a dead row
     (ive <= 1) and times ive(nu_c, z) past the last kept order nu_c
@@ -122,9 +127,7 @@ def _live_cells(pref, z, nu):
     n_live = np.maximum(np.searchsorted(nu, _order_cutoff(np.ravel(z)),
                                         side="right"), 1)
     n_live[pref <= _DEAD_PREFACTOR * pref.max()] = 0
-    rows = np.repeat(np.arange(len(pref)), n_live)
-    start = np.repeat(np.cumsum(n_live) - n_live, n_live)
-    return rows, np.arange(len(rows)) - start
+    return n_live
 
 
 def green_2d_eigen(tau, r, phi, wedge, n_terms=None):
@@ -289,22 +292,26 @@ def survival_2d_1f1(tau, wedge):
 
 def _edge_flux_coefficients(tau, r, wedge):
     """Angular derivative of the eigenfunction series on the phi = varpi
-    edge: G_phi(tau, r, varpi) as an array over r. Negative (density falls
-    off toward the absorbing edge). Only the live cells of the
-    (radius, order) grid call the Bessel function (_live_cells)."""
+    edge: G_phi(tau, r, varpi) over r, negative (density falls off toward
+    the absorbing edge). tau broadcasts against r; each time row (the
+    last axis of r) keeps its cells by _live_cells against its own
+    largest prefactor, and all live cells of the grid are read off one
+    Bessel table (specfun.IveTable)."""
     z = r * wedge.r0 / tau
     step = math.pi / wedge.varpi
     n_terms = _series_length(float(np.max(z)), step, step, "edge flux")
     n = np.arange(1, n_terms + 1)
     nu = n * math.pi / wedge.varpi
     signs = np.where(n % 2 == 0, 1.0, -1.0)  # cos(n pi)
+    coef = nu * signs * np.sin(nu * wedge.phi0)
     pref = (2.0 / (wedge.varpi * tau)) * np.exp(
         -0.5 * (r - wedge.r0) ** 2 / tau)
-    rows, cols = _live_cells(pref, z, nu)
-    bess = np.zeros((len(r), n_terms))
-    bess[rows, cols] = bessel_i_scaled(nu[cols], z[rows])
-    terms = bess * (nu * signs * np.sin(nu * wedge.phi0))
-    return pref * terms.sum(axis=1)
+    table = IveTable(nu, z.ravel(), _live_cells(
+        pref / pref.max(axis=-1, keepdims=True), z, nu))
+    sums = np.empty(z.size)
+    for start, stop, bess in table.blocks(bessel_i_scaled(*table.asks)):
+        sums[start:stop] = bess @ coef[:bess.shape[1]]
+    return pref * sums.reshape(z.shape)
 
 
 def exposure_root(tau_left, terms, y_hi):
@@ -344,8 +351,11 @@ def cva_2d(wedge, terms, recovery_seller, n_time=64, n_radial=200):
     Positive by construction (flux coefficient is negative). The radial
     integral stops at the exposure root, where the positive part kinks to
     zero; integrating across that kink would wreck the quadrature order.
-    Time nodes the diffusion cannot reach are skipped outright: their
-    true flux underflows and a truncated series would leave pure noise.
+    A time node is skipped where the seller's one-name first-passage
+    bound on what it can add, w_t (1 - R_s)(1 - R) x e^(-x^2/2t) /
+    sqrt(2 pi t^3), is under 1e-16 of the bound on the whole leg,
+    (1 - R_s)(1 - R) erfc(x / sqrt(2T)), x the seller's distance: there
+    a truncated flux series would add only its noise.
     """
     return _cva_2d_with_slope(wedge, terms, recovery_seller, n_time,
                               n_radial)[0]
@@ -361,36 +371,32 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
                          int_0^r* G_phi(t, r, varpi) A / r dr <= 0
 
     on the same nodes: the exposure vanishes at its root r*, so the
-    root's move with the coupon adds nothing.
+    root's move with the coupon adds nothing. The edge flux of every
+    time node comes from one Bessel table (_edge_flux_coefficients).
     """
     T = terms.maturity
     t_nodes, t_w = gauss_legendre(n_time, 0.0, T)
     r_hi = wedge.r0 + 8.0 * math.sqrt(T)
     r_lo = r_hi * 1e-6
-    # closest approach of the source to the seller edge
-    gap = wedge.r0 * math.sin(min(wedge.varpi - wedge.phi0, 0.5 * math.pi))
-    # nodes the diffusion cannot reach, and the exposure root of the rest
-    reach = ((gap * gap / (2.0 * t_nodes) <= _UNDERFLOW_EXPONENT)
-             & (t_nodes < T))
-    r_stars = np.zeros_like(t_nodes)
-    r_stars[reach] = exposure_root(T - t_nodes[reach], terms,
-                                   wedge.rho_bar * r_hi) / wedge.rho_bar
-    total = 0.0
-    slope = 0.0
-    for t, wt, r_star in zip(t_nodes, t_w, r_stars):
-        if r_star <= r_lo:
-            continue
-        tau_left = T - t
-        r_nodes, r_w = gauss_legendre(n_radial, r_lo, min(r_star, r_hi))
-        flux = _edge_flux_coefficients(t, r_nodes, wedge)
-        d, a = _legs_1d(tau_left, wedge.rho_bar * r_nodes, terms.rate,
-                        terms.recovery)
-        exposure = d - terms.coupon * a
-        a = np.where(exposure > 0.0, a, 0.0)
-        exposure = np.maximum(exposure, 0.0)
-        integrand = flux * exposure / r_nodes
-        disc = wt * math.exp(-terms.rate * t)
-        total += disc * np.sum(r_w * integrand)
-        slope += disc * np.sum(r_w * flux * a / r_nodes)
+    # cva_2d's node skip; the loss factor (1 - R_s)(1 - R) cancels
+    x0 = wedge.r0 * math.sin(wedge.varpi - wedge.phi0)
+    bound = (t_w * x0 * np.exp(-x0 * x0 / (2.0 * t_nodes))
+             / np.sqrt(2.0 * math.pi * t_nodes ** 3))
+    keep = bound >= _NEGLIGIBLE_NODE * math.erfc(x0 / math.sqrt(2.0 * T))
+    t, t_w = t_nodes[keep], t_w[keep]
+    r_top = np.minimum(exposure_root(T - t, terms, wedge.rho_bar * r_hi)
+                       / wedge.rho_bar, r_hi)
+    t, t_w, r_top = (v[r_top > r_lo] for v in (t, t_w, r_top))
+    if len(t) == 0:
+        return 0.0, 0.0
+    r_nodes, r_w = gauss_legendre(n_radial, r_lo, r_top[:, None])
+    flux = _edge_flux_coefficients(t[:, None], r_nodes, wedge)
+    d, a = _legs_1d((T - t)[:, None], wedge.rho_bar * r_nodes, terms.rate,
+                    terms.recovery)
+    exposure = d - terms.coupon * a
+    a = np.where(exposure > 0.0, a, 0.0)
+    exposure = np.maximum(exposure, 0.0)
+    weights = (t_w * np.exp(-terms.rate * t))[:, None] * r_w * flux / r_nodes
     scale = 0.5 * (1.0 - recovery_seller)
-    return -scale * total, scale * slope
+    return (-scale * float(np.sum(weights * exposure)),
+            scale * float(np.sum(weights * a)))

@@ -12,10 +12,13 @@ the discrete basis and needs no off-mesh differentiation; the basis
 stores those boundary rows, formed once when it is built.
 
 The radial Bessel kernel has one evaluation path, for the pricing grid
-and green_3d alike: it calls the Bessel function on the live cells of
-its (time, radius) x order grid only, by the rule of cds2d._live_cells.
-Every series runs over all modes of the basis it is given; a shallower
-sum is a price on fem.truncate_basis.
+and green_3d alike: it evaluates the live cells of its (time, radius) x
+order grid only, by the rule of cds2d._live_cells, from one table of
+ln ive per grid (specfun.IveTable) with one Bessel call for the table's
+nodes. An order with fewer live cells than its table would have nodes,
+as on a green_3d lattice, is asked directly. survival_3d's series is
+one 1F1 call. Every series runs over all modes of the basis it is
+given; a shallower sum is a price on fem.truncate_basis.
 
 A PricingGrid is one contract: prepare_pricing reads the chart and the
 driver distances off the source, decides the regime, and the legs and
@@ -38,7 +41,8 @@ from .cds2d import (WedgeCoords, _cva_2d_with_slope, _live_cells, cva_2d,
                     survival_2d, to_wedge)
 from .domain3d import decorrelate
 from .fem import eval_basis
-from .specfun import bessel_i_scaled, gauss_legendre, ln_gamma, ln_hyp1f1_neg
+from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
+                      ln_hyp1f1_neg)
 
 # The truncated flux series rings before the driver can plausibly have
 # reached its barrier (the radial factor stops damping high modes as
@@ -118,8 +122,9 @@ def _radial_kernel(basis, tau, r, r0):
     """exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) / (tau sqrt(r r0)),
     Bessel factor scaled; shape (len(tau), len(r), n_modes).
 
-    Only the live cells of the (tau, r) x order grid call the Bessel
-    function (cds2d._live_cells); the others are left 0.
+    Only the live cells of the (tau, r) x order grid are evaluated
+    (cds2d._live_cells), in one Bessel call for the grid's table
+    (specfun.IveTable); the others are left 0.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -128,11 +133,11 @@ def _radial_kernel(basis, tau, r, r0):
     with np.errstate(under="ignore"):
         base = (np.exp(-((r[None, :] - r0) ** 2) / (2.0 * tau[:, None]))
                 / (tau[:, None] * np.sqrt(r[None, :] * r0)))
-        rows, cols = _live_cells(base, z, nu)
-        bess = np.zeros(z.shape + nu.shape)
-        bess.reshape(-1, len(nu))[rows, cols] = bessel_i_scaled(
-            nu[cols], z.ravel()[rows])
-    return base[:, :, None] * bess
+        table = IveTable(nu, z.ravel(), _live_cells(base, z, nu))
+        bess = np.zeros((z.size, len(nu)))
+        for start, stop, block in table.blocks(bessel_i_scaled(*table.asks)):
+            bess[start:stop, :block.shape[1]] = block
+    return base[:, :, None] * bess.reshape(z.shape + nu.shape)
 
 
 def green_3d(basis, tau, r, phi, theta, source):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tricva import cds1d, cds2d
 from tricva.model import CdsTerms
-from tricva.specfun import bessel_i_scaled
+from tricva.specfun import IVE_TABLE_RTOL, IveTable, bessel_i_scaled
 
 F_REFERENCES = [
     (1.0, math.pi / 2, 0.860321682407031),
@@ -297,6 +297,33 @@ def test_series_cap_warns():
     assert any("order cap" in str(m.message) for m in rec)
 
 
+def test_quadrature_asks_only_its_table(monkeypatch):
+    # one cva_2d quadrature evaluates the edge flux of all its time nodes
+    # from one Bessel table: one library call, for the table's nodes and
+    # the cells of the orders it asks directly
+    w = cds2d.to_wedge(1.5, 2.9, 0.8)
+    asked, tables = [], []
+
+    def counting(nu, x):
+        asked.append(np.broadcast(nu, x).size)
+        return bessel_i_scaled(nu, x)
+
+    class Recording(IveTable):
+        def __init__(self, nu, z, n_live):
+            super().__init__(nu, z, n_live)
+            self.n_cells = n_live.sum()
+            tables.append(self)
+
+    monkeypatch.setattr(cds2d, "bessel_i_scaled", counting)
+    monkeypatch.setattr(cds2d, "IveTable", Recording)
+    cds2d.cva_2d(w, _five_year_terms(), recovery_seller=0.5)
+    assert len(tables) == len(asked) == 1
+    assert asked[0] == len(tables[0].asks[0]) < tables[0].n_cells / 20
+    # t = 0.0017, 0.0092 and 0.0225, under the seller's first-passage
+    # bound, are skipped; with them the orders ran to about 735
+    assert tables[0].asks[0].max() < 190.0
+
+
 def _edge_flux_full(t, r, w):
     # every (radius, order) cell of the edge-flux grid, and the pieces
     # of the skipped-cell bound
@@ -327,16 +354,16 @@ def test_edge_flux_skips_dead_cells_within_bound(monkeypatch):
         full, pref, z, nu, coef, bess = _edge_flux_full(t, r, w)
         assert sum(asked) < 0.7 * bess.size
         diff = np.abs(got - full)
-        assert diff.max() <= 1e-12 * np.abs(full).max()
+        # round-off of the row's sum, at the Bessel table's bound per cell
+        round_off = IVE_TABLE_RTOL * pref * np.abs(bess * coef).sum(axis=1)
+        assert diff.max() <= 1e-12 * np.abs(full).max() + round_off.max()
         # the stated bound: pref sum |coef| on a dead row, and
         # pref ive(nu_c, z) sum_(n > c) |coef_n| past the last kept order
-        # nu_c; round-off of the row's sum comes on top
-        rows, cols = cds2d._live_cells(pref, z, nu)
-        kept = np.bincount(rows, minlength=len(r))
+        # nu_c; round-off comes on top
+        kept = cds2d._live_cells(pref, z, nu)
         tail = np.append(np.cumsum(np.abs(coef)[::-1])[::-1], 0.0)[kept]
         ive_c = np.where(kept > 0,
                          bess[np.arange(len(r)), np.maximum(kept - 1, 0)],
                          1.0)
         bound = pref * ive_c * tail
-        round_off = 4e-15 * pref * np.abs(bess * coef).sum(axis=1)
         assert np.all(diff <= bound + round_off)

@@ -1,6 +1,5 @@
 """Three-driver survival, Green function and bilateral CVA/DVA legs."""
 
-import math
 import warnings
 from dataclasses import replace
 
@@ -10,7 +9,8 @@ from scipy.optimize import brentq
 
 from tricva.model import CorrelationTriple, CdsTerms
 from tricva import cds1d, cds2d, cds3d, domain3d, fem
-from tricva.specfun import bessel_i_scaled, gauss_legendre
+from tricva.specfun import (IVE_TABLE_RTOL, IveTable, bessel_i_scaled,
+                            gauss_legendre)
 
 # worked three-name setup: seller, reference, buyer driver distances
 X0 = 1.4713114754098361
@@ -124,8 +124,8 @@ class TestGreen3d:
         radii = r[:, 0]
         base = (np.exp(-(radii - src.r0) ** 2 / 2.0)
                 / np.sqrt(radii * src.r0))
-        live, _ = cds2d._live_cells(base, radii * src.r0, basis.nu[:40])
-        assert sum(asked) == len(live) <= 24 * 40
+        live = cds2d._live_cells(base, radii * src.r0, basis.nu[:40])
+        assert sum(asked) == live.sum() <= 24 * 40
 
     def test_lattice_matches_full_grid(self, octant_basis):
         # the density against every (radius, mode) cell, and the bound
@@ -146,8 +146,7 @@ class TestGreen3d:
                                  src)
         diff = np.abs(got - full)
         assert diff.max() <= 1e-13 * np.abs(full).max()
-        rows, _ = cds2d._live_cells(base, z, basis.nu)
-        kept = np.bincount(rows, minlength=len(radii))
+        kept = cds2d._live_cells(base, z, basis.nu)
         assert kept.min() < basis.n_modes
         ive_c = np.where(kept > 0, bess[np.arange(len(radii)),
                                         np.maximum(kept - 1, 0)], 1.0)
@@ -155,8 +154,8 @@ class TestGreen3d:
         tail = np.concatenate([np.cumsum(terms_n[:, ::-1], axis=1)[:, ::-1],
                                np.zeros((len(terms_n), 1))], axis=1)
         bound = (base * ive_c)[:, None] * tail[:, kept].T
-        round_off = 1e-14 * np.einsum("pn,kn->kp", terms_n,
-                                      base[:, None] * bess)
+        round_off = IVE_TABLE_RTOL * np.einsum("pn,kn->kp", terms_n,
+                                               base[:, None] * bess)
         assert np.all(diff <= bound + round_off)
 
     def test_lattice_locates_each_angle_once(self, octant_basis,
@@ -514,22 +513,17 @@ class TestPricing:
         wedge = cds2d.to_wedge(X0, Y0, 0.8)
         c2 = cds2d.cva_2d(wedge, TERMS, recovery_seller=0.5)
         assert c3 == pytest.approx(c2, rel=0.05)
-        # past z0 = 4 sqrt(T) the buyer's crossing mass erfc(z0/sqrt(2T))
-        # bounds every gap to the two-name problem: a third name that can
-        # default only shortens the seller's exposure, and its own
-        # default is the only source of DVA (round-off allows 1e-9
-        # relative for the source's trip through the chart and back)
+        # past z0 = 4 sqrt(T), where the buyer's crossing mass
+        # erfc(z0/sqrt(2T)) bounds every gap to the two-name problem, the
+        # three-name values are the wedge's own, bit for bit, and the
+        # buyer's default, the only source of DVA, is dropped
         q2 = cds2d.survival_2d(TERMS.maturity, wedge)
         for z0 in (10.0, 50.0):
             src = cds3d.transform_3d(spec, X0, Y0, z0)
-            tail = math.erfc(z0 / math.sqrt(2.0 * TERMS.maturity))
             grid = cds3d.prepare_pricing(basis, src, TERMS)
-            c3 = cds3d.cva_3d(grid, TERMS, 0.5)
-            assert abs(c3 - c2) <= 0.5 * 0.6 * tail + 1e-9 * c2
-            d3 = cds3d.dva_3d(grid, TERMS, 0.4)
-            assert 0.0 <= d3 <= 0.6 * TERMS.coupon * TERMS.maturity * tail
-            q3 = cds3d.survival_3d(basis, TERMS.maturity, src)
-            assert q2 - tail - 1e-9 * q2 <= q3 <= q2 * (1.0 + 1e-9)
+            assert cds3d.cva_3d(grid, TERMS, 0.5) == c2
+            assert cds3d.dva_3d(grid, TERMS, 0.4) == 0.0
+            assert cds3d.survival_3d(basis, TERMS.maturity, src) == q2
 
 
 class TestPricingGrid:
@@ -551,17 +545,28 @@ class TestPricingGrid:
 
     def test_asks_fewer_bessel_values_than_the_grid(self, basis_table1,
                                                     monkeypatch):
+        # one library call for the grid's Bessel table: its nodes and the
+        # cells of the orders it asks directly
         spec, basis = basis_table1
-        asked = []
+        asked, tables = [], []
 
         def counting(nu, x):
             asked.append(np.broadcast(nu, x).size)
             return bessel_i_scaled(nu, x)
 
+        class Recording(IveTable):
+            def __init__(self, nu, z, n_live):
+                super().__init__(nu, z, n_live)
+                self.n_cells = n_live.sum()
+                tables.append(self)
+
         monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
+        monkeypatch.setattr(cds3d, "IveTable", Recording)
         cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
                               n_time=24, n_radial=100)
-        assert 0 < sum(asked) < 0.7 * 24 * 100 * basis.n_modes
+        assert len(tables) == len(asked) == 1
+        assert 0 < asked[0] == len(tables[0].asks[0])
+        assert asked[0] < tables[0].n_cells / 5
 
     def test_live_flux_tensors_match_full_grid(self, basis_table1):
         # the flux tensors against every (time, radius, order) cell, and
@@ -576,8 +581,7 @@ class TestPricingGrid:
                 / (t[:, None] * np.sqrt(r[None, :] * r0)))
         z = np.multiply.outer(1.0 / t, r * r0)
         bess = bessel_i_scaled(nu, z[:, :, None])
-        rows, _ = cds2d._live_cells(base, z, nu)
-        kept = np.bincount(rows, minlength=base.size).reshape(base.shape)
+        kept = cds2d._live_cells(base, z, nu).reshape(base.shape)
         ive_c = np.where(kept > 0, np.take_along_axis(
             bess, np.maximum(kept - 1, 0)[:, :, None], axis=2)[:, :, 0],
             1.0)
@@ -599,7 +603,7 @@ class TestPricingGrid:
                                    np.zeros((1, terms_n.shape[1]))])
             bound = ((taper[:, None] * base * ive_c)[:, :, None]
                      * tail[kept])
-            round_off = 1e-14 * np.einsum(
+            round_off = IVE_TABLE_RTOL * np.einsum(
                 "ijn,nk->ijk", base[:, :, None] * bess,
                 np.abs(terms_n)) * taper[:, None, None]
             assert np.all(diff <= bound + round_off)

@@ -1,7 +1,7 @@
 """Special function checks against independently computed references.
 
 Reference constants were produced with mpmath at 25 significant digits,
-the ln 1F1 grid at 40 digits.
+the ln 1F1 grid and the ln ive table's references at 40 digits.
 """
 
 import math
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricva import specfun
+from tricva import cds2d, specfun
 
 
 def bessel_i_series(nu, x, terms=200):
@@ -200,6 +200,88 @@ def test_ln_hyp1f1_matches_frozen_references(nu, shift):
                                 np.array(_REF_W))
     np.testing.assert_allclose(got, LN_HYP1F1_REFERENCES[nu, shift],
                                rtol=0, atol=2e-12)
+
+
+# ln ive(nu, z) at 40 digits, keyed by order, one value per entry of
+# _TABLE_Z where the order is live (nu <= 5 + 9 sqrt(z), as
+# cds2d._live_cells asks it; the lowest order everywhere) and None
+# elsewhere. The orders span the three-name kernel's (2.286 is the book
+# basis's lowest, 18.51 its highest at 60 modes, 38.96 at 160) and the
+# wedge's n pi / varpi at rho = 0.8 (n = 1, 8, 48, 151, 585).
+_TABLE_Z = (1e-5, 3e-4, 0.01, 0.37, 2.5, 14.0, 60.0, 250.0, 1100.0, 7000.0,
+            1e4)
+LN_IVE_REFERENCES = {
+    1.2576: [
+        -15.479606100534975522, -11.202550263401386751,
+        -6.8023919880103439352, -2.606187898768633535,
+        -1.7173516939980780412, -2.2878237604424637597,
+        -2.9773008193733827619, -3.6823374505351500877,
+        -4.4210767914352059636, -5.345866365286386644,
+        -5.5241753004099175501,
+    ],
+    2.286: [
+        -28.875737830606726623, -21.100890609287417077,
+        -13.09459165483383774, -5.1896381379739230448,
+        -2.5106549490270017618, -2.4225589317367127809,
+        -3.0079222061054832596, -3.6896405005916431538,
+        -4.4227340162681688645, -5.3461266866107307696,
+        -5.5243575214324663298,
+    ],
+    10.06: [
+        None, None, None, -32.587833121481046468, -15.360405471760483972,
+        -5.8181358069539736043, -3.8124705375280977204,
+        -3.8819541375734414648, -4.4663798198565461406,
+        -5.3529827325563739655, -5.5291566511772277714,
+    ],
+    18.51: [
+        None, None, None, None, -36.180216003745230142,
+        -13.494115101180404241, -5.8202716206899424575,
+        -4.3654683370399504892, -4.5761611581623716376,
+        -5.3702279871567756452, -5.5412280753181053153,
+    ],
+    38.96: [
+        None, None, None, None, None, None, -15.305331003127766094,
+        -6.714856186043527975, -5.110545382527522511,
+        -5.4541809685867610864, -5.5999939976559649619,
+    ],
+    60.36: [
+        None, None, None, None, None, None, -31.488325573988751235,
+        -10.945256972513155889, -6.0767536859793956546,
+        -5.6060081955449967412, -5.706271254641564472,
+    ],
+    189.9: [
+        None, None, None, None, None, None, None, None,
+        -20.779177669536547548, -7.9216372542137419046,
+        -7.3272326867754754104,
+    ],
+    735.7: [
+        None, None, None, None, None, None, None, None, None,
+        -43.97406500920322644, -32.575983606687549466,
+    ],
+}
+
+
+def test_ive_table_matches_frozen_references():
+    # one table over every order's live span in [1e-5, 1e4], dense
+    # enough that each order is tabulated, read at the reference points
+    nu = np.array(sorted(LN_IVE_REFERENCES))
+    z = np.concatenate([_TABLE_Z, np.geomspace(1e-5, 1e4, 3000)])
+    n_live = cds2d._live_cells(np.ones_like(z), z, nu)
+    table = specfun.IveTable(nu, z, n_live)
+    assert table.n_direct == 0
+    got = np.zeros((len(z), len(nu)))
+    for start, stop, block in table.blocks(
+            specfun.bessel_i_scaled(*table.asks)):
+        got[start:stop, :block.shape[1]] = block
+    want = np.full(got.shape, np.nan)
+    want[:len(_TABLE_Z)] = np.array(
+        [LN_IVE_REFERENCES[v] for v in nu], dtype=float).T
+    want[np.arange(len(nu)) >= n_live[:, None]] = np.nan
+    at = ~np.isnan(want)
+    assert at.sum() == sum(v is not None for vals in
+                           LN_IVE_REFERENCES.values() for v in vals)
+    np.testing.assert_allclose(got[at], np.exp(want[at]),
+                               rtol=specfun.IVE_TABLE_RTOL, atol=0)
 
 
 def test_ln_hyp1f1_refuses_underflow():
