@@ -18,8 +18,9 @@ flux is one (time, radius) x order grid per quadrature, evaluated on
 its live cells only (_live_cells) and read off one Bessel table
 (specfun.IveTable), as the three-name radial kernel is; the series of
 one argument (green_2d_eigen, survival_2d) call the Bessel function
-directly. The CVA quadrature also returns its exact derivative in the
-coupon, which the break-even root of a far buyer steps on.
+directly. A credit leg sums the clipped 1D CDS value over its cells of
+nonzero weight (LegCells) in one contraction with its exact coupon
+slope (_leg_sum), for the wedge CVA and the three-name legs alike.
 """
 
 import math
@@ -64,12 +65,13 @@ class WedgeCoords:
 def to_wedge(x0, y0, rho_xy):
     """Map initial distances (x0, y0) and their correlation to the wedge.
 
-    Requires both drivers strictly above their barriers. The angle is
+    Requires both drivers strictly above their barriers, at finite
+    distances (ValueError otherwise). The angle is
     measured from the reference's edge, so y0 -> 0 sends phi0 -> 0 and
     x0 -> 0 sends phi0 -> varpi.
     """
-    if x0 <= 0 or y0 <= 0:
-        raise ValueError("initial distances must be positive")
+    if not (0.0 < x0 < math.inf and 0.0 < y0 < math.inf):
+        raise ValueError("initial distances must be positive and finite")
     if not -1.0 < rho_xy < 1.0:
         raise ValueError("correlation must be in (-1, 1)")
     rho_bar = math.sqrt(1.0 - rho_xy * rho_xy)
@@ -339,6 +341,34 @@ def exposure_root(tau_left, terms, y_hi):
     return root if root.ndim else float(root)
 
 
+@dataclass(frozen=True)
+class LegCells:
+    """A credit leg's cells of nonzero weight (-1/2 the flux times the
+    discounted quadrature weight), flat, with the 1D default leg D and
+    risky annuity A there: the CDS value at a coupon c is D - c A."""
+    weight: np.ndarray
+    default: np.ndarray
+    annuity: np.ndarray
+
+
+def _leg_cells(weight, tau_left, y, rate, recovery):
+    """LegCells of the cells where weight is not 0; tau_left and y, the
+    time left and the reference distance, broadcast against weight."""
+    live = weight != 0.0
+    tau_left, y = (np.broadcast_to(v, weight.shape)[live]
+                   for v in (tau_left, y))
+    return LegCells(weight[live], *_legs_1d(tau_left, y, rate, recovery))
+
+
+def _leg_sum(cells, coupon, side):
+    """sum w V over the cells where side V > 0, V = D - coupon A, and its
+    exact derivative in the coupon, -sum w A over the same cells."""
+    value = cells.default - coupon * cells.annuity
+    on = side * value > 0.0
+    w = cells.weight[on]
+    return float(w @ value[on]), -float(w @ cells.annuity[on])
+
+
 def cva_2d(wedge, terms, recovery_seller, n_time=64, n_radial=200):
     """Unilateral credit adjustment when only seller and reference can fail.
 
@@ -371,8 +401,9 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
                          int_0^r* G_phi(t, r, varpi) A / r dr <= 0
 
     on the same nodes: the exposure vanishes at its root r*, so the
-    root's move with the coupon adds nothing. The edge flux of every
-    time node comes from one Bessel table (_edge_flux_coefficients).
+    root's move with the coupon adds nothing. The nodes stop at this
+    coupon's root, so each call builds its cells (_leg_cells), the edge
+    flux from one Bessel table (_edge_flux_coefficients).
     """
     T = terms.maturity
     t_nodes, t_w = gauss_legendre(n_time, 0.0, T)
@@ -391,12 +422,9 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
         return 0.0, 0.0
     r_nodes, r_w = gauss_legendre(n_radial, r_lo, r_top[:, None])
     flux = _edge_flux_coefficients(t[:, None], r_nodes, wedge)
-    d, a = _legs_1d((T - t)[:, None], wedge.rho_bar * r_nodes, terms.rate,
-                    terms.recovery)
-    exposure = d - terms.coupon * a
-    a = np.where(exposure > 0.0, a, 0.0)
-    exposure = np.maximum(exposure, 0.0)
-    weights = (t_w * np.exp(-terms.rate * t))[:, None] * r_w * flux / r_nodes
-    scale = 0.5 * (1.0 - recovery_seller)
-    return (-scale * float(np.sum(weights * exposure)),
-            scale * float(np.sum(weights * a)))
+    weight = (-0.5 * t_w * np.exp(-terms.rate * t))[:, None] * r_w * flux \
+        / r_nodes
+    cells = _leg_cells(weight, (T - t)[:, None], wedge.rho_bar * r_nodes,
+                       terms.rate, terms.recovery)
+    leg, slope = _leg_sum(cells, terms.coupon, 1.0)
+    return (1.0 - recovery_seller) * leg, (1.0 - recovery_seller) * slope

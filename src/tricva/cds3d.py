@@ -22,10 +22,12 @@ given; a shallower sum is a price on fem.truncate_basis.
 
 A PricingGrid is one contract: prepare_pricing reads the chart and the
 driver distances off the source, decides the regime, and the legs and
-roots read only the grid. A buyer past the reach cut gets a grid that
-holds the seller-reference wedge, on which the CVA is cva_2d and the DVA
-is 0. survival_3d, which takes no grid, makes the same cut itself.
-Every break-even coupon is one Newton root on the legs' exact slopes.
+roots read only the grid: each leg's cells of nonzero weight
+(cds2d.LegCells), valued by one contraction (cds2d._leg_sum). A buyer
+past the reach cut gets a grid that holds the seller-reference wedge,
+on which the CVA is cva_2d and the DVA is 0. survival_3d, which takes
+no grid, makes the same cut itself. Every break-even coupon is one
+Newton root on the legs' exact slopes.
 """
 
 import math
@@ -37,8 +39,8 @@ from scipy.optimize import root_scalar
 
 from . import cds1d
 # cva_2d is not called here; perfbench's tracer hooks it by this name
-from .cds2d import (WedgeCoords, _cva_2d_with_slope, _live_cells, cva_2d,
-                    survival_2d, to_wedge)
+from .cds2d import (LegCells, WedgeCoords, _cva_2d_with_slope, _leg_cells,
+                    _leg_sum, _live_cells, cva_2d, survival_2d, to_wedge)
 from .domain3d import decorrelate
 from .fem import eval_basis
 from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
@@ -74,9 +76,9 @@ class SphericalPoint:
 
 
 def transform_3d(domain, x0, y0, z0):
-    """Map positive driver distances to chart coordinates."""
-    if min(x0, y0, z0) <= 0.0:
-        raise ValueError("driver distances must be positive")
+    """Map positive, finite driver distances to chart coordinates."""
+    if not all(0.0 < v < math.inf for v in (x0, y0, z0)):
+        raise ValueError("driver distances must be positive and finite")
     a, b, g = decorrelate(domain, x0, y0, z0)
     r0 = math.sqrt(a * a + b * b + g * g)
     phi0 = math.atan2(a, b)
@@ -260,15 +262,16 @@ def _variational_face_fluxes(basis, domain):
 class PricingGrid:
     """One contract's coupon-independent quadrature data.
 
-    The 1D CDS value on each face grid is linear in the coupon,
-    V = D - coupon A, so the default legs D and risky annuities A at
-    every (time left, radius, face node) are computed once here; a
-    valuation at another coupon only rescales the annuities. d0 and a0
-    are the plain contract's legs at the reference's own distance.
+    The 1D CDS value is linear in the coupon, V = D - coupon A, so each
+    leg's cells (cds2d.LegCells) carry D and A, computed once; another
+    coupon only rescales the annuities. seller holds the CVA's (time,
+    radius, face node) cells of nonzero weight on the seller's face,
+    buyer the DVA's on the buyer's. d0 and a0 are the plain contract's
+    legs at the reference's own distance.
 
     A buyer past the reach cut (prepare_pricing) leaves the grid with the
-    seller-reference wedge alone: wedge is then set and every array is
-    None, and while the buyer is reachable wedge is None.
+    seller-reference wedge alone: wedge is then set and seller and buyer
+    are None, and while the buyer is reachable wedge is None.
     """
     maturity: float
     rate: float
@@ -276,16 +279,8 @@ class PricingGrid:
     d0: float
     a0: float
     wedge: WedgeCoords = None
-    t_nodes: np.ndarray = None
-    t_weights: np.ndarray = None
-    r_nodes: np.ndarray = None
-    r_weights: np.ndarray = None
-    flux_seller: np.ndarray = None     # (nt, nr, ks): psi0_n radial_n R_kn
-    flux_buyer: np.ndarray = None      # (nt, nr, kb)
-    default_seller: np.ndarray = None  # (nt, nr, ks) D on the seller's face
-    annuity_seller: np.ndarray = None  # (nt, nr, ks) A on the seller's face
-    default_buyer: np.ndarray = None   # (nt, nr, kb)
-    annuity_buyer: np.ndarray = None   # (nt, nr, kb)
+    seller: LegCells = None
+    buyer: LegCells = None
 
     def check_terms(self, terms):
         """ValueError when terms differ from the grid's in anything but
@@ -294,14 +289,6 @@ class PricingGrid:
                 self.maturity, self.rate, self.recovery):
             raise ValueError("pricing grid built for other terms: only "
                              "the coupon may change")
-
-    def face_values(self, terms, face):
-        """1D CDS values D - coupon A on one face grid, "seller" or
-        "buyer"; check_terms first."""
-        self.check_terms(terms)
-        if face == "seller":
-            return self.default_seller - terms.coupon * self.annuity_seller
-        return self.default_buyer - terms.coupon * self.annuity_buyer
 
 
 def _face_distances(domain, fluxes, r_nodes):
@@ -315,16 +302,17 @@ def _face_distances(domain, fluxes, r_nodes):
 
 def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     """The contract's pricing grid: its regime, the plain legs at the
-    reference's distance, and for a reachable buyer the time/radius
-    grids, per-face flux tensors and 1D legs.
+    reference's distance, and for a reachable buyer each leg's cells.
 
     The chart and the driver distances come from the source, which must
     come from transform_3d (ValueError otherwise). A buyer with
     z > 4 sqrt(T) cannot default by maturity: the grid then holds the
-    seller-reference wedge and no flux tensors, and no three-name kernel
-    is evaluated. Otherwise the radial kernel is evaluated on its live
+    seller-reference wedge and no cells, and no three-name kernel is
+    evaluated. Otherwise the radial kernel is evaluated on its live
     cells only (cds2d._live_cells); the skipped cells' share of each
-    flux is bounded there.
+    flux is bounded there. A cell's weight is its face flux times the
+    reach taper exp(min(0, 8 - gap^2/2t)), -1/2, the discount and the
+    quadrature weights; the 1D legs are evaluated where it is not 0.
     """
     domain = source.domain
     if domain is None or source.drivers is None:
@@ -343,60 +331,44 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
 
-    psi0 = _source_weights(basis, source)
     rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0)
-    rad *= psi0[None, None, :]
-    flux_s = np.einsum("ijn,kn->ijk", rad, fluxes.seller_coeff)
-    flux_b = np.einsum("ijn,kn->ijk", rad, fluxes.buyer_coeff)
-
-    for flux, gap in ((flux_s, x_gap), (flux_b, z_gap)):
-        ex = gap * gap / (2.0 * t_nodes)
-        flux *= np.exp(np.minimum(0.0, _REACH_EXPONENT - ex))[:, None, None]
-
+    rad *= _source_weights(basis, source)
+    # -1/2, the time weight, the discount and the radial weight of a cell
+    cell_w = (-0.5 * t_w * np.exp(-rate * t_nodes))[:, None] * r_w
     tau_left = (terms.maturity - t_nodes)[:, None, None]
-    y_s, y_b = (y[None, :, :]
-                for y in _face_distances(domain, fluxes, r_nodes))
-    d_s, a_s = cds1d._legs_1d(tau_left, y_s, rate, recovery)
-    d_b, a_b = cds1d._legs_1d(tau_left, y_b, rate, recovery)
-    return PricingGrid(
-        **contract, t_nodes=t_nodes, t_weights=t_w, r_nodes=r_nodes,
-        r_weights=r_w, flux_seller=flux_s, flux_buyer=flux_b,
-        default_seller=d_s, annuity_seller=a_s,
-        default_buyer=d_b, annuity_buyer=a_b)
+    legs = []
+    for coeff, gap, y in zip((fluxes.seller_coeff, fluxes.buyer_coeff),
+                             (x_gap, z_gap),
+                             _face_distances(domain, fluxes, r_nodes)):
+        taper = np.exp(np.minimum(0.0, _REACH_EXPONENT
+                                  - gap * gap / (2.0 * t_nodes)))
+        weight = np.einsum("ijn,kn->ijk", rad, coeff) \
+            * (taper[:, None] * cell_w)[:, :, None]
+        legs.append(_leg_cells(weight, tau_left, y, rate, recovery))
+    return PricingGrid(**contract, seller=legs[0], buyer=legs[1])
 
 
 def _leg(grid, terms, which, recovery):
     """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do, and
     its exact derivative in the coupon.
 
-    On the three-name grid V = D - coupon A, so the slope is the same
-    contraction with -A in place of V, summed where the exposure is on
-    the leg's side (V > 0 for the CVA, V < 0 for the DVA); a leg the
-    report clamps to 0 has slope 0. On the wedge the CVA and its slope
-    come from one quadrature (cds2d._cva_2d_with_slope) and the DVA is 0.
+    On the three-name grid each leg is cds2d._leg_sum of its cells, the
+    CVA's where V > 0 and the DVA's where V < 0; a leg the report clamps
+    to 0 has slope 0. On the wedge the CVA and its slope come from one
+    quadrature (cds2d._cva_2d_with_slope) and the DVA is 0.
     """
     grid.check_terms(terms)
     if grid.wedge is not None:
         if which == "cva":
             return _cva_2d_with_slope(grid.wedge, terms, recovery)
         return 0.0, 0.0
-    if which == "cva":
-        exposure = grid.face_values(terms, "seller")
-        np.maximum(exposure, 0.0, out=exposure)
-        annuity, flux = grid.annuity_seller, grid.flux_seller
-    else:
-        exposure = grid.face_values(terms, "buyer")
-        np.minimum(exposure, 0.0, out=exposure)
-        annuity, flux = grid.annuity_buyer, grid.flux_buyer
-    annuity = np.where(exposure != 0.0, annuity, 0.0)
-    weights = grid.t_weights * np.exp(-terms.rate * grid.t_nodes)
-    leg, slope = (-0.5 * float(np.sum(
-        weights * np.einsum("ijk,ijk,j->i", v, flux, grid.r_weights)))
-        for v in (exposure, -annuity))
+    cells = grid.seller if which == "cva" else grid.buyer
+    side = 1.0 if which == "cva" else -1.0
+    leg, slope = _leg_sum(cells, terms.coupon, side)
     # the seller's leg is a loss; the buyer's is non-positive and its
     # sign flip makes the bilateral value V - cva + dva. Truncation
     # noise can push a vanishing adjustment a hair negative.
-    scale = (1.0 - recovery) if which == "cva" else -(1.0 - recovery)
+    scale = side * (1.0 - recovery)
     if not scale * leg > 0.0:
         return 0.0, 0.0
     return scale * leg, scale * slope

@@ -78,6 +78,16 @@ def test_to_wedge_rejects_bad_inputs():
         cds2d.to_wedge(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_to_wedge_rejects_non_finite_distances(slot, bad):
+    # a ValueError, not an assertion that python -O strips
+    distances = [1.0, 2.0]
+    distances[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cds2d.to_wedge(*distances, 0.3)
+
+
 @pytest.mark.parametrize("p,q,want", F_REFERENCES)
 def test_f_kernel_references(p, q, want):
     assert abs(cds2d._f_wedge(p, q) - want) < 1e-12

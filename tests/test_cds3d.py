@@ -71,6 +71,17 @@ class TestTransform:
         with pytest.raises(ValueError):
             cds3d.transform_3d(spec, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_distance(self, basis_table1, slot, bad):
+        # a NaN source would otherwise map to NaN chart coordinates and
+        # price as an unreachable buyer
+        spec, _ = basis_table1
+        drivers = [X0, Y0, Z0]
+        drivers[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cds3d.transform_3d(spec, *drivers)
+
 
 class TestGreen3d:
     def test_source_target_symmetry(self, octant_basis):
@@ -526,22 +537,74 @@ class TestPricing:
             assert cds3d.survival_3d(basis, TERMS.maturity, src) == q2
 
 
+def _face_weights(basis, src, n_time, n_radial):
+    """prepare_pricing's cell weights on the full (time, radius, face
+    node) grid of each face, seller then buyer, with the time left and
+    the reference distance of every cell."""
+    spec = src.domain
+    t, t_w = gauss_legendre(n_time, 0.0, TERMS.maturity)
+    r_hi = src.r0 + 8.0 * np.sqrt(TERMS.maturity)
+    r, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
+    rad = cds3d._radial_kernel(basis, t, r, src.r0)
+    rad *= fem.eval_basis(basis, src.phi0, src.theta0)[0]
+    cell_w = (-0.5 * t_w * np.exp(-TERMS.rate * t))[:, None] * r_w
+    fluxes = cds3d._variational_face_fluxes(basis, spec)
+    x_gap, _, z_gap = src.drivers
+    out = []
+    for coeff, gap, y in zip((fluxes.seller_coeff, fluxes.buyer_coeff),
+                             (x_gap, z_gap),
+                             cds3d._face_distances(spec, fluxes, r)):
+        taper = np.exp(np.minimum(
+            0.0, cds3d._REACH_EXPONENT - gap * gap / (2.0 * t)))
+        weight = np.einsum("ijn,kn->ijk", rad, coeff) \
+            * (taper[:, None] * cell_w)[:, :, None]
+        tau_left, y = np.broadcast_arrays(
+            (TERMS.maturity - t)[:, None, None], y[None])
+        out.append((weight, tau_left, y))
+    return out
+
+
 class TestPricingGrid:
     def test_values_match_closed_form_on_face_grids(self, basis_table1):
-        # D - coupon A, precomputed once per grid, reproduces the 1D
-        # closed form at every coupon bit for bit
-        spec, basis = basis_table1
+        # D - coupon A, kept once per grid on the cells of nonzero
+        # weight, reproduces the 1D closed form there at every coupon
+        # bit for bit, and the dropped cells are the zero-weight ones
+        _, basis = basis_table1
         src = _source(basis_table1)
         grid = cds3d.prepare_pricing(basis, src, TERMS)
-        fluxes = cds3d._variational_face_fluxes(basis, spec)
-        faces = cds3d._face_distances(spec, fluxes, grid.r_nodes)
-        tau_left = (TERMS.maturity - grid.t_nodes)[:, None, None]
-        for coupon in (0.01, 0.035):
-            t = replace(TERMS, coupon=coupon)
-            for face, y in zip(("seller", "buyer"), faces):
-                got = grid.face_values(t, face)
-                want = cds1d.cds_values_1d(tau_left, y[None, :, :], t)
+        faces = _face_weights(basis, src, 48, 200)
+        for cells, (weight, tau_left, y) in zip((grid.seller, grid.buyer),
+                                                faces):
+            live = weight != 0.0
+            assert 0 < live.sum() < live.size
+            assert np.array_equal(cells.weight, weight[live])
+            for coupon in (0.01, 0.035):
+                t = replace(TERMS, coupon=coupon)
+                want = cds1d.cds_values_1d(tau_left, y, t)[live]
+                got = cells.default - coupon * cells.annuity
                 assert np.array_equal(got, want)
+
+    def test_legs_only_on_nonzero_weights(self, basis_table1, monkeypatch):
+        # the 1D legs are evaluated on the kept cells alone, and no cell
+        # of exactly 0 weight is kept
+        _, basis = basis_table1
+        sizes = []
+        legs = cds1d._legs_1d
+
+        def recorded(tau, y0, rate, recovery):
+            if np.ndim(y0):
+                sizes.append(np.broadcast(tau, y0).size)
+            return legs(tau, y0, rate, recovery)
+
+        monkeypatch.setattr(cds1d, "_legs_1d", recorded)
+        monkeypatch.setattr(cds2d, "_legs_1d", recorded)
+        grid = cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
+                                     n_time=24, n_radial=100)
+        cells = (grid.seller, grid.buyer)
+        assert sizes == [c.weight.size for c in cells]
+        for c in cells:
+            assert np.all(c.weight != 0.0)
+            assert c.default.shape == c.annuity.shape == c.weight.shape
 
     def test_asks_fewer_bessel_values_than_the_grid(self, basis_table1,
                                                     monkeypatch):
@@ -568,15 +631,18 @@ class TestPricingGrid:
         assert 0 < asked[0] == len(tables[0].asks[0])
         assert asked[0] < tables[0].n_cells / 5
 
-    def test_live_flux_tensors_match_full_grid(self, basis_table1):
-        # the flux tensors against every (time, radius, order) cell, and
-        # the stated bound on what the skipped cells held
+    def test_live_weights_match_full_grid(self, basis_table1):
+        # the kept weights against every (time, radius, order) cell, and
+        # the stated bound on what the skipped cells held; a dropped cell
+        # counts as 0
         spec, basis = basis_table1
         src = _source(basis_table1)
         grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=24,
                                      n_radial=100)
-        t, r, r0 = grid.t_nodes, grid.r_nodes, src.r0
-        nu = basis.nu
+        t, t_w = gauss_legendre(24, 0.0, TERMS.maturity)
+        r_hi = src.r0 + 8.0 * np.sqrt(TERMS.maturity)
+        r, r_w = gauss_legendre(100, r_hi * 1e-6, r_hi)
+        r0, nu = src.r0, basis.nu
         base = (np.exp(-(r[None, :] - r0) ** 2 / (2.0 * t[:, None]))
                 / (t[:, None] * np.sqrt(r[None, :] * r0)))
         z = np.multiply.outer(1.0 / t, r * r0)
@@ -588,24 +654,28 @@ class TestPricingGrid:
         psi0 = fem.eval_basis(basis, src.phi0, src.theta0)[0]
         fluxes = cds3d._variational_face_fluxes(basis, spec)
         x_gap, _, z_gap = src.drivers
-        for got, coeff, gap in (
-                (grid.flux_seller, fluxes.seller_coeff, x_gap),
-                (grid.flux_buyer, fluxes.buyer_coeff, z_gap)):
+        cell_w = (0.5 * t_w * np.exp(-TERMS.rate * t))[:, None] * r_w
+        for cells, coeff, gap, (weight, _, _) in zip(
+                (grid.seller, grid.buyer),
+                (fluxes.seller_coeff, fluxes.buyer_coeff), (x_gap, z_gap),
+                _face_weights(basis, src, 24, 100)):
             taper = np.exp(np.minimum(
                 0.0, cds3d._REACH_EXPONENT - gap * gap / (2.0 * t)))
+            scale = (taper[:, None] * cell_w)[:, :, None]   # |-1/2 ...|
             terms_n = psi0[:, None] * coeff.T          # (n, k)
-            full = np.einsum("ijn,nk->ijk", base[:, :, None] * bess,
-                             terms_n) * taper[:, None, None]
+            full = -np.einsum("ijn,nk->ijk", base[:, :, None] * bess,
+                              terms_n) * scale
+            got = np.zeros_like(full)
+            got[weight != 0.0] = cells.weight
             diff = np.abs(got - full)
             assert diff.max() <= 1e-12 * np.abs(full).max()
             tail = np.concatenate([np.cumsum(np.abs(terms_n)[::-1],
                                              axis=0)[::-1],
                                    np.zeros((1, terms_n.shape[1]))])
-            bound = ((taper[:, None] * base * ive_c)[:, :, None]
-                     * tail[kept])
+            bound = scale * (base * ive_c)[:, :, None] * tail[kept]
             round_off = IVE_TABLE_RTOL * np.einsum(
                 "ijn,nk->ijk", base[:, :, None] * bess,
-                np.abs(terms_n)) * taper[:, None, None]
+                np.abs(terms_n)) * scale
             assert np.all(diff <= bound + round_off)
 
     def test_takes_the_contract_from_its_source(self, basis_table1):
@@ -621,15 +691,24 @@ class TestPricingGrid:
         with pytest.raises(ValueError, match="transform_3d"):
             cds3d.prepare_pricing(basis, bare, TERMS)
 
-    def test_values_reject_other_terms(self, basis_table1):
+    @pytest.mark.parametrize("z0", [Z0, 50.0], ids=["near", "far_buyer"])
+    def test_legs_and_roots_reject_other_terms(self, basis_table1, z0):
+        # on the three-name grid and on a far buyer's wedge grid alike,
+        # only the coupon may change
         spec, basis = basis_table1
-        grid = cds3d.prepare_pricing(basis, _source(basis_table1),
-                                     TERMS, n_time=8, n_radial=16)
+        src = cds3d.transform_3d(spec, X0, Y0, z0)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=8,
+                                     n_radial=16)
+        assert (grid.wedge is not None) == (z0 == 50.0)
         for change in ({"maturity": 4.0}, {"rate": 0.03},
                        {"recovery": 0.3}):
-            for face in ("seller", "buyer"):
-                with pytest.raises(ValueError):
-                    grid.face_values(replace(TERMS, **change), face)
+            t = replace(TERMS, **change)
+            for price in (lambda: cds3d.cva_3d(grid, t, 0.5),
+                          lambda: cds3d.dva_3d(grid, t, 0.4),
+                          lambda: cds3d.breakeven_coupon_3d(
+                              grid, t, 0.5, 0.4, "bilateral")):
+                with pytest.raises(ValueError, match="other terms"):
+                    price()
 
 
 class TestBreakeven:
@@ -765,3 +844,32 @@ class TestBreakeven:
              - cds3d.cva_3d(grid, t2, 0.5)
              + cds3d.dva_3d(grid, t2, 0.4))
         assert abs(v) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def bench_basis():
+    """The benchmark's basis size: 500 points, 60 modes, table-1 rho."""
+    spec = domain3d.build_domain(CorrelationTriple(0.8, 0.5, 0.3))
+    mesh = domain3d.build_mesh(spec, n_points=500, seed=0)
+    return spec, fem.build_basis(mesh, n_modes=60)
+
+
+class TestFrozenPrices:
+    # price_3d on 24 x 100 nodes against frozen values: 1e-10 relative
+    # is far above the round-off of the legs' summation order (1e-14)
+    # and of another platform's eigensolve, and far below the
+    # quadrature's own error (about 1e-5)
+    @pytest.mark.parametrize("z0, want", [
+        (Z0, (0.024847469247223957, 0.017914785323661277,
+              0.025480039464848767, 0.018317157124150253,
+              0.029751809141740346, 0.0018695698255185155)),
+        (50.0, (0.024847469247223957, 0.016095824996710417,
+                0.024847469247223957, 0.016095824996710417,
+                0.03655065292663736, 0.0))])
+    def test_prices_against_frozen_values(self, bench_basis, z0, want):
+        spec, basis = bench_basis
+        src = cds3d.transform_3d(spec, X0, Y0, z0)
+        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4, n_time=24,
+                           n_radial=100)
+        assert (p.bec_1d, p.bec_cva_only, p.bec_dva_only, p.bec_bilateral,
+                p.cva, p.dva) == pytest.approx(want, rel=1e-10, abs=0.0)
