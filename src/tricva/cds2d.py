@@ -39,8 +39,8 @@ from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
 _ORDER_CAP = 4000
 # An image kernel whose exponent is below -800 (exp ~ 1e-350) underflows.
 _UNDERFLOW_EXPONENT = 800.0
-# cva_2d skips a time node whose seller first-passage bound is below this
-# fraction of the whole leg's (_cva_2d_with_slope).
+# The wedge CVA skips a time node whose seller first-passage bound is
+# below this fraction of the whole leg's (_wedge_cells).
 _NEGLIGIBLE_NODE = 1e-16
 # Bessel cells whose Gaussian prefactor is below this fraction of their
 # grid's largest are skipped: with ive <= 1 they hold at most that
@@ -66,9 +66,10 @@ def to_wedge(x0, y0, rho_xy):
     """Map initial distances (x0, y0) and their correlation to the wedge.
 
     Requires both drivers strictly above their barriers, at finite
-    distances (ValueError otherwise). The angle is
-    measured from the reference's edge, so y0 -> 0 sends phi0 -> 0 and
-    x0 -> 0 sends phi0 -> varpi.
+    distances, and neither below about 1e-16 of the other, where the
+    source would round onto an absorbing edge (ValueError otherwise).
+    The angle is measured from the reference's edge, so y0 -> 0 sends
+    phi0 -> 0 and x0 -> 0 sends phi0 -> varpi.
     """
     if not (0.0 < x0 < math.inf and 0.0 < y0 < math.inf):
         raise ValueError("initial distances must be positive and finite")
@@ -80,8 +81,9 @@ def to_wedge(x0, y0, rho_xy):
     r0 = math.hypot(alpha, beta)
     varpi = math.acos(-rho_xy)
     phi0 = varpi + math.atan2(-alpha, beta)
-    # the quadrant maps strictly inside the wedge
-    assert 0.0 < phi0 < varpi, (x0, y0, rho_xy, phi0, varpi)
+    if not 0.0 < phi0 < varpi:
+        raise ValueError("source rounds onto the wedge's edge: one "
+                         "distance is too small against the other")
     return WedgeCoords(r0=r0, phi0=phi0, varpi=varpi, rho_xy=rho_xy,
                        rho_bar=rho_bar)
 
@@ -345,10 +347,16 @@ def exposure_root(tau_left, terms, y_hi):
 class LegCells:
     """A credit leg's cells of nonzero weight (-1/2 the flux times the
     discounted quadrature weight), flat, with the 1D default leg D and
-    risky annuity A there: the CDS value at a coupon c is D - c A."""
+    risky annuity A there: the CDS value at a coupon c is D - c A.
+
+    Called with the contract's terms a leg gives its cells: fixed cells
+    themselves, a wedge leg those it builds at the coupon (_wedge_cells)."""
     weight: np.ndarray
     default: np.ndarray
     annuity: np.ndarray
+
+    def __call__(self, terms):
+        return self
 
 
 def _leg_cells(weight, tau_left, y, rate, recovery):
@@ -369,47 +377,25 @@ def _leg_sum(cells, coupon, side):
     return float(w @ value[on]), -float(w @ cells.annuity[on])
 
 
-def cva_2d(wedge, terms, recovery_seller, n_time=64, n_radial=200):
-    """Unilateral credit adjustment when only seller and reference can fail.
+def _wedge_cells(wedge, terms, n_time=64, n_radial=200):
+    """The wedge CVA's cells on the seller's edge at terms.coupon,
+    without the loss factor 1 - R_s (LegCells).
 
-    Integrates the discounted positive CDS exposure against the density
-    flux through the seller's edge:
-
-      CVA = -(1 - R_s)/2 int_0^T dt e^(-rate t)
-            int_0^inf G_phi(t, r, varpi) V(t, T, rho_bar r)^+ dr / r.
-
-    Positive by construction (flux coefficient is negative). The radial
-    integral stops at the exposure root, where the positive part kinks to
-    zero; integrating across that kink would wreck the quadrature order.
+    The radial nodes stop at this coupon's exposure root r*, where the
+    positive part kinks to zero; integrating across that kink would
+    wreck the quadrature order. The exposure vanishes at r*, so the
+    root's move with the coupon adds nothing to the slope (_leg_sum).
     A time node is skipped where the seller's one-name first-passage
     bound on what it can add, w_t (1 - R_s)(1 - R) x e^(-x^2/2t) /
     sqrt(2 pi t^3), is under 1e-16 of the bound on the whole leg,
     (1 - R_s)(1 - R) erfc(x / sqrt(2T)), x the seller's distance: there
     a truncated flux series would add only its noise.
     """
-    return _cva_2d_with_slope(wedge, terms, recovery_seller, n_time,
-                              n_radial)[0]
-
-
-def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
-                       n_radial=200):
-    """cva_2d and its derivative in the coupon, from one quadrature.
-
-    With V = D - coupon A the 1D value (cds1d._legs_1d),
-
-      d CVA / d coupon = (1 - R_s)/2 int_0^T dt e^(-rate t)
-                         int_0^r* G_phi(t, r, varpi) A / r dr <= 0
-
-    on the same nodes: the exposure vanishes at its root r*, so the
-    root's move with the coupon adds nothing. The nodes stop at this
-    coupon's root, so each call builds its cells (_leg_cells), the edge
-    flux from one Bessel table (_edge_flux_coefficients).
-    """
     T = terms.maturity
     t_nodes, t_w = gauss_legendre(n_time, 0.0, T)
     r_hi = wedge.r0 + 8.0 * math.sqrt(T)
     r_lo = r_hi * 1e-6
-    # cva_2d's node skip; the loss factor (1 - R_s)(1 - R) cancels
+    # the node skip; the loss factor (1 - R_s)(1 - R) cancels
     x0 = wedge.r0 * math.sin(wedge.varpi - wedge.phi0)
     bound = (t_w * x0 * np.exp(-x0 * x0 / (2.0 * t_nodes))
              / np.sqrt(2.0 * math.pi * t_nodes ** 3))
@@ -419,12 +405,26 @@ def _cva_2d_with_slope(wedge, terms, recovery_seller, n_time=64,
                        / wedge.rho_bar, r_hi)
     t, t_w, r_top = (v[r_top > r_lo] for v in (t, t_w, r_top))
     if len(t) == 0:
-        return 0.0, 0.0
+        return LegCells(*np.zeros((3, 0)))
     r_nodes, r_w = gauss_legendre(n_radial, r_lo, r_top[:, None])
     flux = _edge_flux_coefficients(t[:, None], r_nodes, wedge)
     weight = (-0.5 * t_w * np.exp(-terms.rate * t))[:, None] * r_w * flux \
         / r_nodes
-    cells = _leg_cells(weight, (T - t)[:, None], wedge.rho_bar * r_nodes,
-                       terms.rate, terms.recovery)
-    leg, slope = _leg_sum(cells, terms.coupon, 1.0)
-    return (1.0 - recovery_seller) * leg, (1.0 - recovery_seller) * slope
+    return _leg_cells(weight, (T - t)[:, None], wedge.rho_bar * r_nodes,
+                      terms.rate, terms.recovery)
+
+
+def cva_2d(wedge, terms, recovery_seller, n_time=64, n_radial=200):
+    """Unilateral credit adjustment when only seller and reference can fail.
+
+    Integrates the discounted positive CDS exposure against the density
+    flux through the seller's edge:
+
+      CVA = -(1 - R_s)/2 int_0^T dt e^(-rate t)
+            int_0^inf G_phi(t, r, varpi) V(t, T, rho_bar r)^+ dr / r,
+
+    the contraction (_leg_sum) of its cells (_wedge_cells). Positive by
+    construction (flux coefficient is negative).
+    """
+    cells = _wedge_cells(wedge, terms, n_time, n_radial)
+    return (1.0 - recovery_seller) * _leg_sum(cells, terms.coupon, 1.0)[0]

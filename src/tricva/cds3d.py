@@ -21,11 +21,11 @@ one 1F1 call. Every series runs over all modes of the basis it is
 given; a shallower sum is a price on fem.truncate_basis.
 
 A PricingGrid is one contract: prepare_pricing reads the chart and the
-driver distances off the source, decides the regime, and the legs and
-roots read only the grid: each leg's cells of nonzero weight
-(cds2d.LegCells), valued by one contraction (cds2d._leg_sum). A buyer
-past the reach cut gets a grid that holds the seller-reference wedge,
-on which the CVA is cva_2d and the DVA is 0. survival_3d, which takes
+driver distances off the source, and the legs and roots read only the
+grid's seller and buyer legs, which give their cells of nonzero weight
+(cds2d.LegCells) at the terms to one contraction (cds2d._leg_sum). Past
+the reach cut the buyer's leg has no cells and the seller's is the
+seller-reference wedge's (cds2d._wedge_cells). survival_3d, which takes
 no grid, makes the same cut itself. Every break-even coupon is one
 Newton root on the legs' exact slopes.
 """
@@ -33,14 +33,15 @@ Newton root on the legs' exact slopes.
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import root_scalar
 
 from . import cds1d
 # cva_2d is not called here; perfbench's tracer hooks it by this name
-from .cds2d import (LegCells, WedgeCoords, _cva_2d_with_slope, _leg_cells,
-                    _leg_sum, _live_cells, cva_2d, survival_2d, to_wedge)
+from .cds2d import (LegCells, _leg_cells, _leg_sum, _live_cells,
+                    _wedge_cells, cva_2d, survival_2d, to_wedge)
 from .domain3d import decorrelate
 from .fem import eval_basis
 from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
@@ -260,27 +261,22 @@ def _variational_face_fluxes(basis, domain):
 
 @dataclass(frozen=True)
 class PricingGrid:
-    """One contract's coupon-independent quadrature data.
-
-    The 1D CDS value is linear in the coupon, V = D - coupon A, so each
-    leg's cells (cds2d.LegCells) carry D and A, computed once; another
-    coupon only rescales the annuities. seller holds the CVA's (time,
-    radius, face node) cells of nonzero weight on the seller's face,
-    buyer the DVA's on the buyer's. d0 and a0 are the plain contract's
-    legs at the reference's own distance.
-
-    A buyer past the reach cut (prepare_pricing) leaves the grid with the
-    seller-reference wedge alone: wedge is then set and seller and buyer
-    are None, and while the buyer is reachable wedge is None.
+    """One contract's quadrature data: d0 and a0, the plain contract's
+    legs at the reference's own distance, and the CVA's seller leg and
+    the DVA's buyer leg, each giving its cells (cds2d.LegCells) at the
+    terms. On the three-name cone both are fixed (time, radius, face
+    node) cells: V = D - coupon A is linear in the coupon, so D and A
+    are computed once. A buyer past the reach cut (prepare_pricing) has
+    no cells, and the seller's leg is the seller-reference wedge's,
+    built at each coupon (cds2d._wedge_cells).
     """
     maturity: float
     rate: float
     recovery: float
     d0: float
     a0: float
-    wedge: WedgeCoords = None
-    seller: LegCells = None
-    buyer: LegCells = None
+    seller: LegCells
+    buyer: LegCells
 
     def check_terms(self, terms):
         """ValueError when terms differ from the grid's in anything but
@@ -301,17 +297,18 @@ def _face_distances(domain, fluxes, r_nodes):
 
 
 def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
-    """The contract's pricing grid: its regime, the plain legs at the
-    reference's distance, and for a reachable buyer each leg's cells.
+    """The contract's pricing grid: the plain legs at the reference's
+    distance and the seller's and buyer's legs.
 
     The chart and the driver distances come from the source, which must
     come from transform_3d (ValueError otherwise). A buyer with
-    z > 4 sqrt(T) cannot default by maturity: the grid then holds the
-    seller-reference wedge and no cells, and no three-name kernel is
-    evaluated. Otherwise the radial kernel is evaluated on its live
-    cells only (cds2d._live_cells); the skipped cells' share of each
-    flux is bounded there. A cell's weight is its face flux times the
-    reach taper exp(min(0, 8 - gap^2/2t)), -1/2, the discount and the
+    z > 4 sqrt(T) cannot default by maturity: its leg then has no cells,
+    the seller's is the seller-reference wedge's on cva_2d's default
+    quadrature, and no three-name kernel is evaluated. Otherwise the
+    radial kernel is evaluated on its live cells only
+    (cds2d._live_cells); the skipped cells' share of each flux is
+    bounded there. A cell's weight is its face flux times the reach
+    taper exp(min(0, 8 - gap^2/2t)), -1/2, the discount and the
     quadrature weights; the 1D legs are evaluated where it is not 0.
     """
     domain = source.domain
@@ -325,7 +322,8 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
                     d0=float(d0), a0=float(a0))
     wedge = _unreachable_buyer_wedge(source, terms.maturity)
     if wedge is not None:
-        return PricingGrid(**contract, wedge=wedge)
+        return PricingGrid(**contract, seller=partial(_wedge_cells, wedge),
+                           buyer=LegCells(*np.zeros((3, 0))))
     fluxes = _variational_face_fluxes(basis, domain)
     t_nodes, t_w = gauss_legendre(n_time, 0.0, terms.maturity)
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
@@ -352,17 +350,12 @@ def _leg(grid, terms, which, recovery):
     """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do, and
     its exact derivative in the coupon.
 
-    On the three-name grid each leg is cds2d._leg_sum of its cells, the
-    CVA's where V > 0 and the DVA's where V < 0; a leg the report clamps
-    to 0 has slope 0. On the wedge the CVA and its slope come from one
-    quadrature (cds2d._cva_2d_with_slope) and the DVA is 0.
+    Each leg is cds2d._leg_sum of its cells at terms, the CVA's where
+    V > 0 and the DVA's where V < 0; a leg the report clamps to 0, as
+    one with no cells, has slope 0.
     """
     grid.check_terms(terms)
-    if grid.wedge is not None:
-        if which == "cva":
-            return _cva_2d_with_slope(grid.wedge, terms, recovery)
-        return 0.0, 0.0
-    cells = grid.seller if which == "cva" else grid.buyer
+    cells = (grid.seller if which == "cva" else grid.buyer)(terms)
     side = 1.0 if which == "cva" else -1.0
     leg, slope = _leg_sum(cells, terms.coupon, side)
     # the seller's leg is a loss; the buyer's is non-positive and its
@@ -382,9 +375,9 @@ def cva_3d(grid, terms, recovery_seller):
     is prepare_pricing's grid for these terms at any coupon.
 
     On the grid of a buyer with z > 4 sqrt(T), who cannot default by
-    maturity, the value is the two-name wedge CVA (cva_2d, on its own
-    default quadrature), within (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of
-    the three-name value.
+    maturity, the seller's leg is the two-name wedge's: the value is
+    cva_2d's on its default quadrature, within
+    (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of the three-name value.
     """
     return _leg(grid, terms, "cva", recovery_seller)[0]
 
@@ -398,7 +391,8 @@ def dva_3d(grid, terms, recovery_buyer):
     coupon.
 
     On the grid of a buyer with z > 4 sqrt(T), who cannot default by
-    maturity, the value is 0.0; the true one is at most
+    maturity, the buyer's leg has no cells and the value is 0.0; the
+    true one is at most
     (1 - R_b) coupon T erfc(z / sqrt(2T)).
     """
     return _leg(grid, terms, "dva", recovery_buyer)[0]
@@ -463,9 +457,10 @@ def price_3d(basis, source, terms, recovery_seller, recovery_buyer,
 
     Every root and both adjustments (at terms.coupon) read one
     prepare_pricing grid, built from the source's chart and driver
-    distances. On the grid of a buyer with z > 4 sqrt(T) the DVA leg is
-    zero, so the bilateral coupon is the CVA-only one, rooted once on
-    the two-name wedge.
+    distances. A leg with no cells adds nothing to a root, so then the
+    bilateral coupon is the one-leg coupon without it: on the grid of a
+    buyer with z > 4 sqrt(T) the CVA-only one, rooted once on the
+    two-name wedge.
     """
     grid = prepare_pricing(basis, source, terms, n_time, n_radial)
 
@@ -473,11 +468,15 @@ def price_3d(basis, source, terms, recovery_seller, recovery_buyer,
         return breakeven_coupon_3d(grid, terms, recovery_seller,
                                    recovery_buyer, adjust)
 
-    bec_cva = coupon("cva")
+    bec_cva, bec_dva = coupon("cva"), coupon("dva")
+    # a leg of fixed cells, none of them, adds nothing to a root; a leg
+    # built at each coupon may have cells at another
+    empty = [isinstance(leg, LegCells) and leg.weight.size == 0
+             for leg in (grid.buyer, grid.seller)]
+    bec_bilateral = (bec_cva if empty[0] else bec_dva if empty[1]
+                     else coupon("bilateral"))
     return Price3d(
-        bec_1d=coupon("none"), bec_cva_only=bec_cva,
-        bec_dva_only=coupon("dva"),
-        bec_bilateral=(bec_cva if grid.wedge is not None
-                       else coupon("bilateral")),
+        bec_1d=coupon("none"), bec_cva_only=bec_cva, bec_dva_only=bec_dva,
+        bec_bilateral=bec_bilateral,
         cva=cva_3d(grid, terms, recovery_seller),
         dva=dva_3d(grid, terms, recovery_buyer))

@@ -78,6 +78,15 @@ def test_to_wedge_rejects_bad_inputs():
         cds2d.to_wedge(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("x0, y0", [(1e-20, 1.0), (1.0, 1e-20),
+                                    (1e-16, 1.0)])
+def test_to_wedge_refuses_a_source_on_an_edge(x0, y0):
+    # one distance below about 1e-16 of the other rounds phi0 onto an
+    # absorbing edge: a ValueError, not an assertion that python -O strips
+    with pytest.raises(ValueError, match="edge"):
+        cds2d.to_wedge(x0, y0, 0.5)
+
+
 @pytest.mark.parametrize("slot", [0, 1])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_to_wedge_rejects_non_finite_distances(slot, bad):

@@ -693,13 +693,14 @@ class TestPricingGrid:
 
     @pytest.mark.parametrize("z0", [Z0, 50.0], ids=["near", "far_buyer"])
     def test_legs_and_roots_reject_other_terms(self, basis_table1, z0):
-        # on the three-name grid and on a far buyer's wedge grid alike,
-        # only the coupon may change
+        # on the three-name grid and on a far buyer's grid, whose buyer
+        # leg has no cells and seller leg is the wedge's, only the coupon
+        # may change
         spec, basis = basis_table1
         src = cds3d.transform_3d(spec, X0, Y0, z0)
         grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=8,
                                      n_radial=16)
-        assert (grid.wedge is not None) == (z0 == 50.0)
+        assert (grid.buyer.weight.size == 0) == (z0 == 50.0)
         for change in ({"maturity": 4.0}, {"rate": 0.03},
                        {"recovery": 0.3}):
             t = replace(TERMS, **change)
@@ -763,22 +764,53 @@ class TestBreakeven:
     def test_far_buyer_prices_with_few_wedge_quadratures(
             self, reduction_basis, monkeypatch):
         # the CVA-only root by Newton and the CVA at the contract coupon;
-        # the bilateral root is the CVA-only one past the buyer cut
+        # the bilateral root is the CVA-only one past the buyer cut, and
+        # a near buyer's contract runs no wedge quadrature
         spec, basis = reduction_basis
         src = cds3d.transform_3d(spec, X0, Y0, 50.0)
         calls = []
-        quadrature = cds2d._cva_2d_with_slope
+        quadrature = cds2d._wedge_cells
 
         def counting(*args, **kwargs):
             calls.append(args[1].coupon)
             return quadrature(*args, **kwargs)
 
-        monkeypatch.setattr(cds2d, "_cva_2d_with_slope", counting)
-        monkeypatch.setattr(cds3d, "_cva_2d_with_slope", counting)
+        monkeypatch.setattr(cds2d, "_wedge_cells", counting)
+        monkeypatch.setattr(cds3d, "_wedge_cells", counting)
         p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4)
         assert len(calls) <= 5
         assert p.bec_cva_only == p.bec_bilateral < p.bec_1d
         assert p.bec_dva_only == p.bec_1d
+        del calls[:]
+        cds3d.price_3d(basis, _source(reduction_basis), TERMS, 0.5, 0.4,
+                       n_time=24, n_radial=100)
+        assert calls == []
+
+    def test_far_seller_bilateral_is_the_dva_only_root(
+            self, basis_table1, monkeypatch):
+        # a seller 1e3 from its barrier: its tapered weights all
+        # underflow, so its leg has no cells and the bilateral coupon is
+        # the DVA-only one, with no root of its own
+        spec, basis = basis_table1
+        src = cds3d.transform_3d(spec, 1e3, Y0, Z0)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=24,
+                                     n_radial=100)
+        assert grid.seller.weight.size == 0 < grid.buyer.weight.size
+        adjusts = []
+        root = cds3d.breakeven_coupon_3d
+
+        def recorded(*args):
+            adjusts.append(args[-1])
+            return root(*args)
+
+        monkeypatch.setattr(cds3d, "breakeven_coupon_3d", recorded)
+        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4, n_time=24,
+                           n_radial=100)
+        assert "bilateral" not in adjusts
+        assert p.cva == 0.0 < p.dva
+        assert p.bec_bilateral == p.bec_dva_only
+        assert p.bec_bilateral == cds3d.breakeven_coupon_3d(
+            grid, TERMS, 0.5, 0.4, "bilateral")
 
     @pytest.mark.parametrize("bundle, maturity", [
         ("octant_basis", 1.0), ("octant_basis", 5.0),
@@ -788,14 +820,15 @@ class TestBreakeven:
                                              maturity):
         # the adjusted roots against a tight brentq of the reported legs;
         # the reduction basis's buyer at z = 50 is past the cut, so its
-        # grid holds the two-name wedge, where the CVA-only root is the
-        # one that steps on the wedge quadrature
+        # leg has no cells and the seller's is the two-name wedge's,
+        # where the CVA-only root is the one that steps on the wedge
+        # quadrature
         spec, basis = request.getfixturevalue(bundle)
         far = bundle == "reduction_basis"
         src = cds3d.transform_3d(spec, X0, Y0, 50.0 if far else Z0)
         terms = replace(TERMS, maturity=maturity)
         grid = cds3d.prepare_pricing(basis, src, terms)
-        assert (grid.wedge is not None) == far
+        assert (grid.buyer.weight.size == 0) == far
         d0, a0 = cds1d._legs_1d(maturity, Y0, terms.rate, terms.recovery)
         for adjust in ("cva",) if far else ("cva", "dva", "bilateral"):
             got = cds3d.breakeven_coupon_3d(grid, terms, 0.5, 0.4, adjust)

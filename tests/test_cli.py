@@ -290,6 +290,17 @@ class TestExitCodes:
         assert _run(tmp_path, "eig", cfgp) == cli.FAIL_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_seller_on_its_barrier_is_numeric(self, tmp_path, capsys):
+        # a seller 4e-21 from its barrier and a buyer 14.3 from its own,
+        # past z > 4 sqrt(T) at both maturities: the two-name wedge of the
+        # far buyer's grid refuses a source that rounds onto its edge
+        cfgp = _write_config(tmp_path / "c.json", mesh={"n_points": 200},
+                             series={"n_terms": 10},
+                             firms={"X": {"equity": 1e-22},
+                                    "Z": {"equity": 0.9}})
+        assert _run(tmp_path, "price", cfgp) == cli.FAIL_NUMERIC
+        assert "edge" in capsys.readouterr().err
+
     def test_wrong_type_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"mesh": {"n_points": "plenty"}}')
