@@ -7,8 +7,11 @@ contract) and simulate_cva_dva are views of one walk. The estimates
 carry a discrete-monitoring bias (paths can dip below the barrier
 between grid times unseen) which shrinks like sqrt(dt) and is removed
 for comparisons by Richardson extrapolation over the two finest step
-sizes. Exact first-passage sampling is out of scope: this module is an
-oracle, not a production pricer.
+sizes. Those step sizes share a seed, so the coarse walk's normals are
+the first part of the fine walk's: simulate_contract walks such a
+ladder off one normal stream, drawn once, with every output bit that
+of separate walks. Exact first-passage sampling is out of scope: this
+module is an oracle, not a production pricer.
 """
 
 import math
@@ -106,29 +109,47 @@ def _stack(chunks, antithetic):
     return np.concatenate(chunks)
 
 
-def _walk(x0s, rho, horizon, cfg):
-    """Chunked Euler paths of the drivers, and where each first crossed.
+class _NormalStream:
+    """The standard normals of default_rng(seed), read by stream position.
 
-    Increments are Cholesky-correlated Gaussians on a uniform grid of
-    at most cfg.dt. Returns n_steps and, per path, the first step at
-    which each driver was <= 0 (n_steps + 1 if never) and the driver
-    positions at the path's first crossing step.
+    read(lo, n) returns draws lo .. lo + n - 1. Calls must come in
+    non-decreasing lo, so the draws below the last lo are dropped: the
+    buffer holds only the draws of the last read that extended it.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.start = 0  # stream position of buf[0]
+        self.buf = np.empty(0)
+
+    def read(self, lo, n):
+        drawn = self.start + len(self.buf)
+        if lo + n > drawn:
+            # normals are filled one after another, so drawing the
+            # missing tail now gives the bits of one up-front draw
+            self.buf = np.concatenate(
+                (self.buf[lo - self.start:],
+                 self._rng.standard_normal(lo + n - drawn)))
+            self.start = lo
+        return self.buf[lo - self.start:lo - self.start + n]
+
+
+def _walker(x0s, chol_t, horizon, n_steps, cfg):
+    """One step size's chunked Euler walk, as a coroutine.
+
+    It yields the count of normals its next step reads, is sent those
+    draws, and returns (first, at_first) when every chunk is walked.
 
     A step costs about its normal draw: crossings are tracked on
     per-driver and per-path alive flags, so nothing reduces over the
-    drivers, and the increments are written into one reused buffer.
+    drivers, the increments are written into one reused buffer, and a
+    step's new crossings are found by flat index into the hit mask.
     An antithetic chunk multiplies its half draw g once and negates
     the product, which equals [g; -g] @ chol.T bit for bit (rounding
     is symmetric in sign).
     """
-    if np.any(x0s <= 0):
-        raise ValueError("drivers must start above the barrier")
-    _check_config(cfg, horizon)
     dims = len(x0s)
-    chol_t = _correlation_cholesky(dims, rho).T
-    n_steps = max(int(math.ceil(horizon / cfg.dt - 1e-12)), 50)
     sq = math.sqrt(horizon / n_steps)
-    rng = np.random.default_rng(cfg.seed)
     firsts, ats = [], []
     for size in _chunk_sizes(cfg.n_paths, cfg.antithetic):
         x = np.tile(x0s, (size, 1))
@@ -138,30 +159,68 @@ def _walk(x0s, rho, horizon, cfg):
         path_alive = np.ones(size, dtype=bool)
         dw = np.empty((size, dims))
         hit = np.empty((size, dims), dtype=bool)
-        half = size // 2
+        n_draw = size // 2 if cfg.antithetic else size
         for k in range(1, n_steps + 1):
+            g = (yield n_draw * dims).reshape(n_draw, dims)
+            np.matmul(g, chol_t, out=dw[:n_draw])
             if cfg.antithetic:
-                np.matmul(rng.standard_normal((half, dims)), chol_t,
-                          out=dw[:half])
-                np.negative(dw[:half], out=dw[half:])
-            else:
-                np.matmul(rng.standard_normal((size, dims)), chol_t,
-                          out=dw)
+                np.negative(dw[:n_draw], out=dw[n_draw:])
             dw *= sq
             x += dw
             np.less_equal(x, 0.0, out=hit)
             hit &= alive
-            if hit.any():
-                rows, cols = np.nonzero(hit)
-                first_c[rows, cols] = k
-                alive[rows, cols] = False
+            cells = np.flatnonzero(hit)
+            if cells.size:
+                first_c.ravel()[cells] = k
+                alive.ravel()[cells] = False
+                rows = cells // dims
                 newly = rows[path_alive[rows]]
                 path_alive[newly] = False
                 at_c[newly] = x[newly]
         firsts.append(first_c)
         ats.append(at_c)
-    return (n_steps, _stack(firsts, cfg.antithetic),
-            _stack(ats, cfg.antithetic))
+    return _stack(firsts, cfg.antithetic), _stack(ats, cfg.antithetic)
+
+
+def _walk(x0s, rho, horizon, cfgs):
+    """Chunked Euler paths of the drivers at each step size of cfgs.
+
+    Increments are Cholesky-correlated Gaussians on a uniform grid of
+    at most cfg.dt. The configs must share n_paths, seed and
+    antithetic: every walk reads the one normal stream of that seed
+    from its start, as a walk of its own would, so each config's
+    arrays are bit for bit those of walking it alone. The walkers
+    advance lowest stream position first, so the stream's buffer holds
+    about one step of draws. Returns, per config in order, n_steps and,
+    per path, the first step at which each driver was <= 0 (n_steps + 1
+    if never) and the driver positions at the path's first crossing
+    step.
+    """
+    if np.any(x0s <= 0):
+        raise ValueError("drivers must start above the barrier")
+    for cfg in cfgs:
+        _check_config(cfg, horizon)
+    shared = {(c.n_paths, c.seed, c.antithetic) for c in cfgs}
+    if len(shared) != 1:
+        raise ValueError("a ladder's configs must share n_paths, seed "
+                         "and antithetic")
+    chol_t = _correlation_cholesky(len(x0s), rho).T
+    n_steps = [max(int(math.ceil(horizon / c.dt - 1e-12)), 50)
+               for c in cfgs]
+    walkers = [_walker(x0s, chol_t, horizon, n, c)
+               for n, c in zip(n_steps, cfgs)]
+    stream = _NormalStream(cfgs[0].seed)
+    reads = {i: (0, next(w)) for i, w in enumerate(walkers)}
+    out = [None] * len(cfgs)
+    while reads:
+        i = min(reads, key=lambda j: reads[j][0])
+        lo, n = reads[i]
+        try:
+            reads[i] = (lo + n, walkers[i].send(stream.read(lo, n)))
+        except StopIteration as done:
+            del reads[i]
+            out[i] = (n_steps[i],) + done.value
+    return out
 
 
 def simulate_survival(dims, x0s, rho, tau, cfg):
@@ -173,7 +232,7 @@ def simulate_survival(dims, x0s, rho, tau, cfg):
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     if len(x0s) != dims:
         raise ValueError("x0s length must equal dims")
-    n_steps, first, _ = _walk(x0s, rho, tau, cfg)
+    [(n_steps, first, _)] = _walk(x0s, rho, tau, [cfg])
     return _stats((first.min(axis=1) > n_steps).astype(float),
                   cfg.antithetic)
 
@@ -193,35 +252,47 @@ def simulate_contract(drivers, rho, terms, cfg, recovery_seller,
     positive). Same-step double crossings are resolved conservatively
     (an O(dt) tie either way): a reference crossing dominates, and a
     simultaneous seller+buyer crossing pays nothing.
+
+    cfg may also be a ladder: a list or tuple of McConfigs that share
+    n_paths, seed and antithetic, such as a Richardson pair. Its step
+    sizes are walked together off one normal stream, and it returns
+    one dict per config, in order, each bit for bit the dict of that
+    config alone.
     """
     x0s = np.asarray(drivers, dtype=float)
     if x0s.shape != (3,):
         raise ValueError("drivers must be the three starting distances")
-    n_steps, first, at_first = _walk(x0s, rho, terms.maturity, cfg)
-    out = {name: _stats((first[:, cols].min(axis=1) > n_steps)
-                        .astype(float), cfg.antithetic)
-           for name, cols in (("survival_1d", [1]),
-                              ("survival_2d", [0, 1]),
-                              ("survival_3d", [0, 1, 2]))}
-    dt = terms.maturity / n_steps
-    step = first.min(axis=1)
-    crossed = first == step[:, None]
-    tau_left = terms.maturity - np.arange(n_steps + 2) * dt
-    # scalar math.exp per step: np.exp may differ in the last bit
-    disc = np.array([math.exp(-terms.rate * (k * dt))
-                     for k in range(n_steps + 2)])
-    live = (step <= n_steps) & (tau_left[step] > 0) & ~crossed[:, 1]
-    for name, leg, other, rec, sign in (
-            ("cva_3d", 0, 2, recovery_seller, 1.0),
-            ("dva_3d", 2, 0, recovery_buyer, -1.0)):
-        pay = np.zeros(cfg.n_paths)
-        paid = live & crossed[:, leg] & ~crossed[:, other]
-        if paid.any():
-            k = step[paid]
-            v = cds_values_1d(tau_left[k], at_first[paid, 1], terms)
-            pay[paid] = (1.0 - rec) * disc[k] * np.maximum(sign * v, 0.0)
-        out[name] = _stats(pay, cfg.antithetic)
-    return out
+    ladder = not isinstance(cfg, McConfig)
+    cfgs = list(cfg) if ladder else [cfg]
+    outs = []
+    for (n_steps, first, at_first), c in zip(
+            _walk(x0s, rho, terms.maturity, cfgs), cfgs):
+        out = {name: _stats((first[:, cols].min(axis=1) > n_steps)
+                            .astype(float), c.antithetic)
+               for name, cols in (("survival_1d", [1]),
+                                  ("survival_2d", [0, 1]),
+                                  ("survival_3d", [0, 1, 2]))}
+        dt = terms.maturity / n_steps
+        step = first.min(axis=1)
+        crossed = first == step[:, None]
+        tau_left = terms.maturity - np.arange(n_steps + 2) * dt
+        # scalar math.exp per step: np.exp may differ in the last bit
+        disc = np.array([math.exp(-terms.rate * (k * dt))
+                         for k in range(n_steps + 2)])
+        live = (step <= n_steps) & (tau_left[step] > 0) & ~crossed[:, 1]
+        for name, leg, other, rec, sign in (
+                ("cva_3d", 0, 2, recovery_seller, 1.0),
+                ("dva_3d", 2, 0, recovery_buyer, -1.0)):
+            pay = np.zeros(c.n_paths)
+            paid = live & crossed[:, leg] & ~crossed[:, other]
+            if paid.any():
+                k = step[paid]
+                v = cds_values_1d(tau_left[k], at_first[paid, 1], terms)
+                pay[paid] = ((1.0 - rec) * disc[k]
+                             * np.maximum(sign * v, 0.0))
+            out[name] = _stats(pay, c.antithetic)
+        outs.append(out)
+    return outs if ladder else outs[0]
 
 
 def simulate_cva_dva(drivers, rho, terms, cfg, recovery_seller,

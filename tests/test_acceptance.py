@@ -121,16 +121,14 @@ def test_criterion_6_monte_carlo_cross_validation(octant_basis,
             "cva_3d": cds3d.cva_3d(grid, TERMS, REC_SELLER),
             "dva_3d": cds3d.dva_3d(grid, TERMS, REC_BUYER),
         }
-        runs = {}
-        for label, steps in (("coarse", 200), ("fine", 400)):
-            cfg = mc_oracle.McConfig(n_paths=100_000, dt=tau / steps,
+        ladder = [mc_oracle.McConfig(n_paths=100_000, dt=tau / steps,
                                      seed=29, antithetic=True)
-            runs[label] = mc_oracle.simulate_contract(
-                (X0, Y0, Z0), rho, TERMS, cfg,
-                recovery_seller=REC_SELLER, recovery_buyer=REC_BUYER)
+                  for steps in (200, 400)]
+        coarse, fine = mc_oracle.simulate_contract(
+            (X0, Y0, Z0), rho, TERMS, ladder,
+            recovery_seller=REC_SELLER, recovery_buyer=REC_BUYER)
         for name, value in model.items():
-            est = mc_oracle.richardson(runs["fine"][name],
-                                       runs["coarse"][name])
+            est = mc_oracle.richardson(fine[name], coarse[name])
             gap = abs(value - est.mean)
             assert gap <= 3.0 * est.std_error, (
                 "%s at rho=%s: model %.6f vs MC %.6f +- %.6f"

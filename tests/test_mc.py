@@ -1,6 +1,7 @@
 """Euler Monte Carlo cross-checks against the closed-form pricers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,12 +231,65 @@ class TestWalkAgainstReferenceLoop:
                        antithetic=antithetic)
         assert len(list(mc_oracle._chunk_sizes(40_000, antithetic))) == 3
         want = _reference_walk(x0s, rho, 1.0, cfg)
-        got = mc_oracle._walk(x0s, rho, 1.0, cfg)
+        [got] = mc_oracle._walk(x0s, rho, 1.0, [cfg])
         assert got[0] == want[0] == n_steps
         # the drivers start near their barriers: many paths cross
         assert np.mean(want[1].min(axis=1) <= n_steps) > 0.3
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("dims, rho", _WALK_CASES)
+    def test_ladder_is_two_reference_walks(self, dims, rho, antithetic):
+        # the coarse walk reads the first half of the fine walk's
+        # stream; its last chunk's steps are shorter than the fine
+        # walk's, so its step boundaries, and its end, fall mid-step
+        # in the fine stream
+        x0s = np.array([0.9, 1.3, 0.7][:dims])
+        ladder = [McConfig(n_paths=40_000, dt=1.0 / n, seed=5,
+                           antithetic=antithetic) for n in (50, 100)]
+        per_step = [(s // 2 if antithetic else s) * dims
+                    for s in mc_oracle._chunk_sizes(40_000, antithetic)]
+        coarse_ends = set(np.cumsum(np.repeat(per_step, 50)))
+        fine_ends = set(np.cumsum(np.repeat(per_step, 100)))
+        assert not coarse_ends <= fine_ends
+        got = mc_oracle._walk(x0s, rho, 1.0, ladder)
+        for cfg, walk in zip(ladder, got):
+            want = _reference_walk(x0s, rho, 1.0, cfg)
+            assert walk[0] == want[0]
+            assert np.array_equal(walk[1], want[1])
+            assert np.array_equal(walk[2], want[2])
+
+    @pytest.mark.parametrize("change", [{"seed": 6}, {"n_paths": 40_002},
+                                        {"antithetic": False}])
+    def test_ladder_refuses_configs_on_other_streams(self, change):
+        coarse = McConfig(n_paths=40_000, dt=0.02, seed=5, antithetic=True)
+        fine = replace(coarse, dt=0.01, **change)
+        with pytest.raises(ValueError, match="share"):
+            mc_oracle._walk(np.array([0.9, 1.3, 0.7]), (0.8, 0.5, 0.3),
+                            1.0, [coarse, fine])
+
+    def test_stream_holds_about_one_step(self, monkeypatch):
+        # the walkers read lowest stream position first, so the buffer
+        # never holds more than one fine step of draws plus one coarse
+        # step, and only the fine walk's draws are ever made
+        read = mc_oracle._NormalStream.read
+        held, drawn = [], []
+
+        def recorded(stream, lo, n):
+            draws = read(stream, lo, n)
+            held.append(len(stream.buf))
+            drawn.append(stream.start + len(stream.buf))
+            return draws
+
+        monkeypatch.setattr(mc_oracle._NormalStream, "read", recorded)
+        ladder = [McConfig(n_paths=40_000, dt=1.0 / n, seed=5,
+                           antithetic=True) for n in (50, 100)]
+        mc_oracle._walk(np.array([0.9, 1.3, 0.7]), (0.8, 0.5, 0.3), 1.0,
+                        ladder)
+        fine_step = coarse_step = mc_oracle._CHUNK // 2 * 3
+        assert max(held) <= fine_step + coarse_step
+        assert drawn[-1] == max(drawn) == 20_000 * 3 * 100
 
 
 class TestValidation:
