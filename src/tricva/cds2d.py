@@ -12,14 +12,14 @@ of free-space kernels over reflected sources. They validate each other and
 the survival series.
 
 Every Bessel series here keeps its orders up to the first at or past
-_order_cutoff(z), and no more than _ORDER_CAP of them (_series_length,
-which warns once when the cap cuts a series). The CVA's seller-edge
-flux is one (time, radius) x order grid per quadrature, evaluated on
-its live cells only (_live_cells) and read off one Bessel table
-(specfun.IveTable), as the three-name radial kernel is; the series of
-one argument (green_2d_eigen, survival_2d) call the Bessel function
-directly. A credit leg sums the clipped 1D CDS value over its cells of
-nonzero weight (LegCells) in one contraction with its exact coupon
+specfun.order_cutoff(z), and no more than _ORDER_CAP of them
+(_series_length, which warns once when the cap cuts a series). The
+CVA's seller-edge flux is one (time, radius) x order grid per
+quadrature, whose live cells one specfun.IveTable sums against the
+angular coefficients, as for the three-name kernel; the series of one
+argument (green_2d_eigen, survival_2d) call the Bessel function
+directly. A credit leg sums the clipped 1D CDS value over its cells
+of nonzero weight (LegCells) in one contraction with its exact coupon
 slope (_leg_sum), for the wedge CVA and the three-name legs alike.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .cds1d import _legs_1d, cds_values_1d
 from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
-                      ln_hyp1f1_neg)
+                      ln_hyp1f1_neg, order_cutoff)
 
 # Series order cutoffs. Terms die once the Bessel order passes the argument,
 # with scale sqrt(z) for large z; the hard cap flags configurations the
@@ -42,10 +42,6 @@ _UNDERFLOW_EXPONENT = 800.0
 # The wedge CVA skips a time node whose seller first-passage bound is
 # below this fraction of the whole leg's (_wedge_cells).
 _NEGLIGIBLE_NODE = 1e-16
-# Bessel cells whose Gaussian prefactor is below this fraction of their
-# grid's largest are skipped: with ive <= 1 they hold at most that
-# fraction of the largest row's scale.
-_DEAD_PREFACTOR = 1e-16
 # Gauss-Legendre nodes of the diffraction integral in _f_wedge.
 _H_NODES = 600
 # Term cap of the reference 1F1 survival series (survival_2d_1f1).
@@ -88,50 +84,17 @@ def to_wedge(x0, y0, rho_xy):
                        rho_bar=rho_bar)
 
 
-def _order_cutoff(z):
-    """Largest Bessel order that still contributes at argument z.
-
-    ive(nu, z) plateaus near 1/sqrt(2 pi z) and then falls off like
-    exp(-nu^2 / 2z), so at large z the order 9 sqrt(z) is e^-40.5 down;
-    at small z ive(nu, z) ~ (z/2)^nu / Gamma(nu + 1) and the offset 5
-    carries the cut. Over z in [1e-4, 1e5], ive(nu, z) at the cut is at
-    most 2.5e-15 of ive(0, z) (near z = 0.17) and 4.7e-14 of ive(1, z)
-    (near z = 0.065). Broadcasts over arrays of z.
-    """
-    return 5.0 + 9.0 * np.sqrt(np.maximum(z, 0.0))
-
-
 def _series_length(z, first, step, what):
     """Number of terms of a Bessel series whose k-th order is
     first + k step (k = 0, 1, ...): up to and including the first order
-    at or past _order_cutoff(z), and at most _ORDER_CAP, with one
+    at or past order_cutoff(z), and at most _ORDER_CAP, with one
     RuntimeWarning naming the series when the cap cuts it."""
-    n = int(math.ceil((_order_cutoff(z) - first) / step)) + 1
+    n = int(math.ceil((order_cutoff(z) - first) / step)) + 1
     if n > _ORDER_CAP:
         warnings.warn("%s series truncated at order cap" % what,
                       RuntimeWarning, stacklevel=3)
         n = _ORDER_CAP
     return n
-
-
-def _live_cells(pref, z, nu):
-    """The Bessel cells a kernel grid needs: how many of the ascending
-    orders nu each row keeps.
-
-    pref and z hold each row's Gaussian prefactor and Bessel argument
-    (raveled). A row is live while its prefactor is above
-    _DEAD_PREFACTOR of the grid's largest, and there it keeps the orders
-    up to _order_cutoff(z), at least the first: a prefix of nu.
-    What the skipped cells held is bounded per row by pref times the sum
-    of the |coefficients| they multiply, times 1 on a dead row
-    (ive <= 1) and times ive(nu_c, z) past the last kept order nu_c
-    (ive(nu, z) <= ive(nu_c, z) for nu >= nu_c >= 0).
-    """
-    pref = np.ravel(pref)
-    n_live = np.maximum(np.searchsorted(nu, _order_cutoff(np.ravel(z)),
-                                        side="right"), 1)
-    n_live[pref <= _DEAD_PREFACTOR * pref.max()] = 0
-    return n_live
 
 
 def green_2d_eigen(tau, r, phi, wedge, n_terms=None):
@@ -249,7 +212,7 @@ def survival_2d(tau, wedge):
 
     with z = r0^2 / 4 tau; the exponential prefactor of the unscaled
     Bessel functions cancels exactly against e^(-z). The terms run up
-    to the first order (nu-1)/2 at or past _order_cutoff(z).
+    to the first order (nu-1)/2 at or past order_cutoff(z).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -278,7 +241,7 @@ def survival_2d_1f1(tau, wedge):
     w = wedge.r0 ** 2 / (2.0 * tau)
     lw = math.log(w)
     total = 0.0
-    nu_stop = 2.0 * _order_cutoff(w / 2.0)  # comparable reach to Bessel form
+    nu_stop = 2.0 * order_cutoff(w / 2.0)  # comparable reach to Bessel form
     for k in range(_1F1_MAX_TERMS):
         nu = (2 * k + 1) * math.pi / wedge.varpi
         ln_mag = (0.5 * nu * lw + ln_gamma(1.0 + 0.5 * nu)
@@ -297,10 +260,10 @@ def survival_2d_1f1(tau, wedge):
 def _edge_flux_coefficients(tau, r, wedge):
     """Angular derivative of the eigenfunction series on the phi = varpi
     edge: G_phi(tau, r, varpi) over r, negative (density falls off toward
-    the absorbing edge). tau broadcasts against r; each time row (the
-    last axis of r) keeps its cells by _live_cells against its own
-    largest prefactor, and all live cells of the grid are read off one
-    Bessel table (specfun.IveTable)."""
+    the absorbing edge). tau broadcasts against r. The whole grid is one
+    Bessel table (specfun.IveTable) summed against the angular
+    coefficients, each time row (the last axis of r) keeping its live
+    cells against its own largest prefactor."""
     z = r * wedge.r0 / tau
     step = math.pi / wedge.varpi
     n_terms = _series_length(float(np.max(z)), step, step, "edge flux")
@@ -310,12 +273,8 @@ def _edge_flux_coefficients(tau, r, wedge):
     coef = nu * signs * np.sin(nu * wedge.phi0)
     pref = (2.0 / (wedge.varpi * tau)) * np.exp(
         -0.5 * (r - wedge.r0) ** 2 / tau)
-    table = IveTable(nu, z.ravel(), _live_cells(
-        pref / pref.max(axis=-1, keepdims=True), z, nu))
-    sums = np.empty(z.size)
-    for start, stop, bess in table.blocks(bessel_i_scaled(*table.asks)):
-        sums[start:stop] = bess @ coef[:bess.shape[1]]
-    return pref * sums.reshape(z.shape)
+    table = IveTable(nu, z, pref / pref.max(axis=-1, keepdims=True))
+    return pref * table.sums(bessel_i_scaled(*table.asks), coef)
 
 
 def exposure_root(tau_left, terms, y_hi):

@@ -11,14 +11,13 @@ the boundary hat functions, which keeps them exactly consistent with
 the discrete basis and needs no off-mesh differentiation; the basis
 stores those boundary rows, formed once when it is built.
 
-The radial Bessel kernel has one evaluation path, for the pricing grid
-and green_3d alike: it evaluates the live cells of its (time, radius) x
-order grid only, by the rule of cds2d._live_cells, from one table of
-ln ive per grid (specfun.IveTable) with one Bessel call for the table's
-nodes. An order with fewer live cells than its table would have nodes,
-as on a green_3d lattice, is asked directly. survival_3d's series is
-one 1F1 call. Every series runs over all modes of the basis it is
-given; a shallower sum is a price on fem.truncate_basis.
+The radial Bessel kernel is one contraction, never a tensor: one
+specfun.IveTable per (time, radius) x order grid picks its live cells,
+asks the Bessel function once and sums the cells against both faces'
+source-weighted fluxes (prepare_pricing) or the distinct angles'
+source-weighted mode values (green_3d). survival_3d's series is one
+1F1 call. Every series runs over all modes of the basis it is given;
+a shallower sum is a price on fem.truncate_basis.
 
 A PricingGrid is one contract: prepare_pricing reads the chart and the
 driver distances off the source, and the legs and roots read only the
@@ -40,8 +39,8 @@ from scipy.optimize import root_scalar
 
 from . import cds1d
 # cva_2d is not called here; perfbench's tracer hooks it by this name
-from .cds2d import (LegCells, _leg_cells, _leg_sum, _live_cells,
-                    _wedge_cells, cva_2d, survival_2d, to_wedge)
+from .cds2d import (LegCells, _leg_cells, _leg_sum, _wedge_cells, cva_2d,
+                    survival_2d, to_wedge)
 from .domain3d import decorrelate
 from .fem import eval_basis
 from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
@@ -121,26 +120,13 @@ def _source_weights(basis, source):
     return eval_basis(basis, source.phi0, source.theta0)[0]
 
 
-def _radial_kernel(basis, tau, r, r0):
-    """exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) / (tau sqrt(r r0)),
-    Bessel factor scaled; shape (len(tau), len(r), n_modes).
-
-    Only the live cells of the (tau, r) x order grid are evaluated
-    (cds2d._live_cells), in one Bessel call for the grid's table
-    (specfun.IveTable); the others are left 0.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    nu = basis.nu
-    z = np.multiply.outer(1.0 / tau, r * r0)
+def _radial_grid(tau, r, r0):
+    """The radial kernel exp(-(r - r0)^2 / 2 tau) I_nu(r r0 / tau) /
+    (tau sqrt(r r0)) as its Bessel argument z and the Gaussian
+    prefactor that multiplies ive(nu, z); tau broadcasts against r."""
     with np.errstate(under="ignore"):
-        base = (np.exp(-((r[None, :] - r0) ** 2) / (2.0 * tau[:, None]))
-                / (tau[:, None] * np.sqrt(r[None, :] * r0)))
-        table = IveTable(nu, z.ravel(), _live_cells(base, z, nu))
-        bess = np.zeros((z.size, len(nu)))
-        for start, stop, block in table.blocks(bessel_i_scaled(*table.asks)):
-            bess[start:stop, :block.shape[1]] = block
-    return base[:, :, None] * bess.reshape(z.shape + nu.shape)
+        base = np.exp(-((r - r0) ** 2) / (2.0 * tau)) / (tau * np.sqrt(r * r0))
+    return (1.0 / tau) * (r * r0), base
 
 
 def green_3d(basis, tau, r, phi, theta, source):
@@ -152,10 +138,11 @@ def green_3d(basis, tau, r, phi, theta, source):
     part, spectral in the angles.
 
     The radial Bessel kernel depends on r only and the mode values on
-    the angles only, so a call asks the Bessel function for the live
-    cells of (distinct radii x modes) alone (cds2d._live_cells) and
-    locates each distinct (phi, theta) once: a lattice of radii x
-    angles costs what its radii and its angles cost apart.
+    the angles only, so a call locates each distinct (phi, theta) once
+    and sums the live cells of (distinct radii x modes) (specfun.IveTable)
+    against the distinct angles' source-weighted mode values: a lattice
+    of radii x angles costs what its radii and its angles cost apart,
+    and points scattered in both cost the lattice they span.
     """
     tau = _scalar_tau(tau)
     r, phi, theta = np.broadcast_arrays(
@@ -169,12 +156,17 @@ def green_3d(basis, tau, r, phi, theta, source):
     # angles of np.unique(axis=0), without its slow sort of row records
     angles, a_at = np.unique(phi.ravel() + 1j * theta.ravel(),
                              return_inverse=True)
-    modes = eval_basis(basis, angles.real, angles.imag)[a_at]
+    modes = eval_basis(basis, angles.real, angles.imag)
     psi0 = _source_weights(basis, source)
-    rad = _radial_kernel(basis, tau, radii, source.r0)[0][r_at]
-    out = np.einsum("pn,n,pn->p", modes, psi0, rad)
-    last = np.abs(modes[:, -1] * psi0[-1] * rad[:, -1])
-    if np.any(last > 1e-10 * np.maximum(np.abs(out), 1e-300)):
+    z, base = _radial_grid(tau, radii, source.r0)
+    table = IveTable(basis.nu, z, base)
+    # a column per distinct angle, and the last mode alone (the
+    # truncation check's term)
+    coef = np.hstack([modes.T, np.eye(len(psi0))[:, -1:]]) * psi0[:, None]
+    sums = base[:, None] * table.sums(bessel_i_scaled(*table.asks), coef)
+    out = sums[r_at, a_at]
+    tail = np.abs(modes[a_at, -1] * sums[r_at, -1])
+    if np.any(tail > 1e-10 * np.maximum(np.abs(out), 1e-300)):
         warnings.warn("last eigen term above 1e-10 of the partial sum; "
                       "density not fully converged", TruncationWarning)
     return out.reshape(shape) if shape else float(out[0])
@@ -304,12 +296,12 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     come from transform_3d (ValueError otherwise). A buyer with
     z > 4 sqrt(T) cannot default by maturity: its leg then has no cells,
     the seller's is the seller-reference wedge's on cva_2d's default
-    quadrature, and no three-name kernel is evaluated. Otherwise the
-    radial kernel is evaluated on its live cells only
-    (cds2d._live_cells); the skipped cells' share of each flux is
-    bounded there. A cell's weight is its face flux times the reach
-    taper exp(min(0, 8 - gap^2/2t)), -1/2, the discount and the
-    quadrature weights; the 1D legs are evaluated where it is not 0.
+    quadrature, and no three-name kernel is evaluated. Otherwise one
+    specfun.IveTable sums the kernel's live cells against both faces'
+    fluxes, and bounds the skipped cells' share. A cell's weight is its
+    face flux times the reach taper exp(min(0, 8 - gap^2/2t)), -1/2,
+    the discount and the quadrature weights; the 1D legs are evaluated
+    where it is not 0.
     """
     domain = source.domain
     if domain is None or source.drivers is None:
@@ -329,19 +321,23 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     r_hi = source.r0 + 8.0 * math.sqrt(terms.maturity)
     r_nodes, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
 
-    rad = _radial_kernel(basis, t_nodes, r_nodes, source.r0)
-    rad *= _source_weights(basis, source)
-    # -1/2, the time weight, the discount and the radial weight of a cell
-    cell_w = (-0.5 * t_w * np.exp(-rate * t_nodes))[:, None] * r_w
+    z, base = _radial_grid(t_nodes[:, None], r_nodes, source.r0)
+    table = IveTable(basis.nu, z, base)
+    # both faces' source-weighted flux coefficients, seller columns then
+    # buyer columns, summed in one pass over the live cells
+    coeff = np.concatenate([fluxes.seller_coeff, fluxes.buyer_coeff]).T
+    flux = table.sums(bessel_i_scaled(*table.asks),
+                      coeff * _source_weights(basis, source)[:, None])
+    # a cell's prefactor, -1/2, time weight, discount and radial weight
+    cell_w = base * (-0.5 * t_w * np.exp(-rate * t_nodes))[:, None] * r_w
     tau_left = (terms.maturity - t_nodes)[:, None, None]
     legs = []
-    for coeff, gap, y in zip((fluxes.seller_coeff, fluxes.buyer_coeff),
-                             (x_gap, z_gap),
-                             _face_distances(domain, fluxes, r_nodes)):
+    for face, gap, y in zip(
+            np.split(flux, [len(fluxes.seller_theta)], axis=2),
+            (x_gap, z_gap), _face_distances(domain, fluxes, r_nodes)):
         taper = np.exp(np.minimum(0.0, _REACH_EXPONENT
                                   - gap * gap / (2.0 * t_nodes)))
-        weight = np.einsum("ijn,kn->ijk", rad, coeff) \
-            * (taper[:, None] * cell_w)[:, :, None]
+        weight = face * (taper[:, None] * cell_w)[:, :, None]
         legs.append(_leg_cells(weight, tau_left, y, rate, recovery))
     return PricingGrid(**contract, seller=legs[0], buyer=legs[1])
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from tricva import cds1d, cds2d
 from tricva.model import CdsTerms
-from tricva.specfun import IVE_TABLE_RTOL, IveTable, bessel_i_scaled
+from tricva.specfun import (IVE_TABLE_RTOL, IveTable, bessel_i_scaled,
+                            order_cutoff)
 
 F_REFERENCES = [
     (1.0, math.pi / 2, 0.860321682407031),
@@ -328,9 +329,9 @@ def test_quadrature_asks_only_its_table(monkeypatch):
         return bessel_i_scaled(nu, x)
 
     class Recording(IveTable):
-        def __init__(self, nu, z, n_live):
-            super().__init__(nu, z, n_live)
-            self.n_cells = n_live.sum()
+        def __init__(self, nu, z, pref):
+            super().__init__(nu, z, pref)
+            self.n_cells = self.n_live.sum()
             tables.append(self)
 
     monkeypatch.setattr(cds2d, "bessel_i_scaled", counting)
@@ -347,7 +348,7 @@ def _edge_flux_full(t, r, w):
     # every (radius, order) cell of the edge-flux grid, and the pieces
     # of the skipped-cell bound
     z = r * w.r0 / t
-    n_terms = int(math.ceil(cds2d._order_cutoff(z.max()) * w.varpi
+    n_terms = int(math.ceil(order_cutoff(z.max()) * w.varpi
                             / math.pi)) + 1
     n = np.arange(1, n_terms + 1)
     nu = n * math.pi / w.varpi
@@ -379,7 +380,7 @@ def test_edge_flux_skips_dead_cells_within_bound(monkeypatch):
         # the stated bound: pref sum |coef| on a dead row, and
         # pref ive(nu_c, z) sum_(n > c) |coef_n| past the last kept order
         # nu_c; round-off comes on top
-        kept = cds2d._live_cells(pref, z, nu)
+        kept = IveTable(nu, z, pref).n_live
         tail = np.append(np.cumsum(np.abs(coef)[::-1])[::-1], 0.0)[kept]
         ive_c = np.where(kept > 0,
                          bess[np.arange(len(r)), np.maximum(kept - 1, 0)],

@@ -135,12 +135,12 @@ class TestGreen3d:
         radii = r[:, 0]
         base = (np.exp(-(radii - src.r0) ** 2 / 2.0)
                 / np.sqrt(radii * src.r0))
-        live = cds2d._live_cells(base, radii * src.r0, basis.nu[:40])
+        live = IveTable(basis.nu[:40], radii * src.r0, base).n_live
         assert sum(asked) == live.sum() <= 24 * 40
 
     def test_lattice_matches_full_grid(self, octant_basis):
         # the density against every (radius, mode) cell, and the bound
-        # on what the skipped cells held (cds2d._live_cells)
+        # on what the skipped cells held (specfun.IveTable)
         _, basis = octant_basis
         src = _source(octant_basis)
         r, phi, theta = self._lattice(basis, n_radii=60)
@@ -157,7 +157,7 @@ class TestGreen3d:
                                  src)
         diff = np.abs(got - full)
         assert diff.max() <= 1e-13 * np.abs(full).max()
-        kept = cds2d._live_cells(base, z, basis.nu)
+        kept = IveTable(basis.nu, z, base).n_live
         assert kept.min() < basis.n_modes
         ive_c = np.where(kept > 0, bess[np.arange(len(radii)),
                                         np.maximum(kept - 1, 0)], 1.0)
@@ -545,19 +545,21 @@ def _face_weights(basis, src, n_time, n_radial):
     t, t_w = gauss_legendre(n_time, 0.0, TERMS.maturity)
     r_hi = src.r0 + 8.0 * np.sqrt(TERMS.maturity)
     r, r_w = gauss_legendre(n_radial, r_hi * 1e-6, r_hi)
-    rad = cds3d._radial_kernel(basis, t, r, src.r0)
-    rad *= fem.eval_basis(basis, src.phi0, src.theta0)[0]
-    cell_w = (-0.5 * t_w * np.exp(-TERMS.rate * t))[:, None] * r_w
+    z, base = cds3d._radial_grid(t[:, None], r, src.r0)
+    table = IveTable(basis.nu, z, base)
     fluxes = cds3d._variational_face_fluxes(basis, spec)
+    coeff = np.concatenate([fluxes.seller_coeff, fluxes.buyer_coeff]).T
+    flux = table.sums(bessel_i_scaled(*table.asks), coeff * fem.eval_basis(
+        basis, src.phi0, src.theta0)[0][:, None])
+    cell_w = base * (-0.5 * t_w * np.exp(-TERMS.rate * t))[:, None] * r_w
     x_gap, _, z_gap = src.drivers
     out = []
-    for coeff, gap, y in zip((fluxes.seller_coeff, fluxes.buyer_coeff),
-                             (x_gap, z_gap),
-                             cds3d._face_distances(spec, fluxes, r)):
+    for face, gap, y in zip(np.split(flux, [len(fluxes.seller_theta)],
+                                     axis=2), (x_gap, z_gap),
+                            cds3d._face_distances(spec, fluxes, r)):
         taper = np.exp(np.minimum(
             0.0, cds3d._REACH_EXPONENT - gap * gap / (2.0 * t)))
-        weight = np.einsum("ijn,kn->ijk", rad, coeff) \
-            * (taper[:, None] * cell_w)[:, :, None]
+        weight = face * (taper[:, None] * cell_w)[:, :, None]
         tau_left, y = np.broadcast_arrays(
             (TERMS.maturity - t)[:, None, None], y[None])
         out.append((weight, tau_left, y))
@@ -618,9 +620,9 @@ class TestPricingGrid:
             return bessel_i_scaled(nu, x)
 
         class Recording(IveTable):
-            def __init__(self, nu, z, n_live):
-                super().__init__(nu, z, n_live)
-                self.n_cells = n_live.sum()
+            def __init__(self, nu, z, pref):
+                super().__init__(nu, z, pref)
+                self.n_cells = self.n_live.sum()
                 tables.append(self)
 
         monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
@@ -647,7 +649,7 @@ class TestPricingGrid:
                 / (t[:, None] * np.sqrt(r[None, :] * r0)))
         z = np.multiply.outer(1.0 / t, r * r0)
         bess = bessel_i_scaled(nu, z[:, :, None])
-        kept = cds2d._live_cells(base, z, nu).reshape(base.shape)
+        kept = IveTable(nu, z, base).n_live.reshape(base.shape)
         ive_c = np.where(kept > 0, np.take_along_axis(
             bess, np.maximum(kept - 1, 0)[:, :, None], axis=2)[:, :, 0],
             1.0)
@@ -748,7 +750,7 @@ class TestBreakeven:
         def no_kernel(*args, **kwargs):
             raise AssertionError("three-name kernel evaluated")
 
-        monkeypatch.setattr(cds3d, "_radial_kernel", no_kernel)
+        monkeypatch.setattr(cds3d, "IveTable", no_kernel)
         grid = cds3d.prepare_pricing(basis, src, TERMS)
         kw = dict(recovery_seller=0.5, recovery_buyer=0.4)
         bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)

@@ -166,19 +166,19 @@ class TestPrice:
         # maturities, is priced on the two-name wedge: its grids evaluate
         # no three-name kernel, and no DVA leg moves the bilateral coupon
         # off the CVA-only one
-        kernels = []
-        kernel = cds3d._radial_kernel
+        tables = []
+        table = cds3d.IveTable
 
         def recorded(*args, **kwargs):
-            kernels.append(args[1])
-            return kernel(*args, **kwargs)
+            tables.append(args[1])
+            return table(*args, **kwargs)
 
-        monkeypatch.setattr(cds3d, "_radial_kernel", recorded)
+        monkeypatch.setattr(cds3d, "IveTable", recorded)
         far = _write_config(tmp_path / "f.json", rho=rho,
                             firms={"Z": {"equity": 1.26,
                                          "volatility": 0.063}})
         assert _run(tmp_path, "price", far) == cli.OK
-        assert kernels == []
+        assert tables == []
         lines = (tmp_path / "out" / "price.csv").read_text().splitlines()
         assert len(lines) == 4
         for line in lines[2:]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricva import cds2d, specfun
+from tricva import specfun
 
 
 def bessel_i_series(nu, x, terms=200):
@@ -204,7 +204,7 @@ def test_ln_hyp1f1_matches_frozen_references(nu, shift):
 
 # ln ive(nu, z) at 40 digits, keyed by order, one value per entry of
 # _TABLE_Z where the order is live (nu <= 5 + 9 sqrt(z), as
-# cds2d._live_cells asks it; the lowest order everywhere) and None
+# IveTable keeps it; the lowest order everywhere) and None
 # elsewhere. The orders span the three-name kernel's (2.286 is the book
 # basis's lowest, 18.51 its highest at 60 modes, 38.96 at 160) and the
 # wedge's n pi / varpi at rho = 0.8 (n = 1, 8, 48, 151, 585).
@@ -266,13 +266,11 @@ def test_ive_table_matches_frozen_references():
     # enough that each order is tabulated, read at the reference points
     nu = np.array(sorted(LN_IVE_REFERENCES))
     z = np.concatenate([_TABLE_Z, np.geomspace(1e-5, 1e4, 3000)])
-    n_live = cds2d._live_cells(np.ones_like(z), z, nu)
-    table = specfun.IveTable(nu, z, n_live)
+    table = specfun.IveTable(nu, z, np.ones_like(z))
+    n_live = table.n_live
     assert table.n_direct == 0
-    got = np.zeros((len(z), len(nu)))
-    for start, stop, block in table.blocks(
-            specfun.bessel_i_scaled(*table.asks)):
-        got[start:stop, :block.shape[1]] = block
+    # each row's live values, 0 past them
+    got = table.sums(specfun.bessel_i_scaled(*table.asks), np.eye(len(nu)))
     want = np.full(got.shape, np.nan)
     want[:len(_TABLE_Z)] = np.array(
         [LN_IVE_REFERENCES[v] for v in nu], dtype=float).T
