@@ -19,10 +19,12 @@ source-weighted mode values (green_3d). survival_3d's series is one
 1F1 call. Every series runs over all modes of the basis it is given;
 a shallower sum is a price on fem.truncate_basis.
 
-A PricingGrid is one contract: prepare_pricing reads the chart and the
-driver distances off the source, and the legs and roots read only the
-grid's seller and buyer legs, which give their cells of nonzero weight
-(cds2d.LegCells) at the terms to one contraction (cds2d._leg_sum). Past
+A PricingGrid is one contract: prepare_pricing takes its terms and the
+two counterparties' recoveries, and reads the chart and the driver
+distances off the source. The legs and roots take the grid and a coupon
+(price_3d the grid alone) and read the grid's seller and buyer legs,
+which give their cells of nonzero weight (cds2d.LegCells) at the
+grid's terms and that coupon to one contraction (cds2d._leg_sum). Past
 the reach cut the buyer's leg has no cells and the seller's is the
 seller-reference wedge's (cds2d._wedge_cells). survival_3d, which takes
 no grid, makes the same cut itself. Every break-even coupon is one
@@ -43,6 +45,7 @@ from .cds2d import (LegCells, _leg_cells, _leg_sum, _wedge_cells, cva_2d,
                     survival_2d, to_wedge)
 from .domain3d import decorrelate
 from .fem import eval_basis
+from .model import CdsTerms
 from .specfun import (IveTable, bessel_i_scaled, gauss_legendre, ln_gamma,
                       ln_hyp1f1_neg)
 
@@ -253,30 +256,23 @@ def _variational_face_fluxes(basis, domain):
 
 @dataclass(frozen=True)
 class PricingGrid:
-    """One contract's quadrature data: d0 and a0, the plain contract's
-    legs at the reference's own distance, and the CVA's seller leg and
-    the DVA's buyer leg, each giving its cells (cds2d.LegCells) at the
-    terms. On the three-name cone both are fixed (time, radius, face
-    node) cells: V = D - coupon A is linear in the coupon, so D and A
-    are computed once. A buyer past the reach cut (prepare_pricing) has
-    no cells, and the seller's leg is the seller-reference wedge's,
-    built at each coupon (cds2d._wedge_cells).
+    """One contract: its terms, the seller's and buyer's recoveries, d0
+    and a0, the plain contract's legs at the reference's own distance,
+    and the CVA's seller leg and the DVA's buyer leg, each giving its
+    cells (cds2d.LegCells) at the terms and a coupon. On the three-name
+    cone both are fixed (time, radius, face node) cells:
+    V = D - coupon A is linear in the coupon, so D and A are computed
+    once. A buyer past the reach cut (prepare_pricing) has no cells, and
+    the seller's leg is the seller-reference wedge's, built at each
+    coupon (cds2d._wedge_cells).
     """
-    maturity: float
-    rate: float
-    recovery: float
+    terms: CdsTerms
+    recovery_seller: float
+    recovery_buyer: float
     d0: float
     a0: float
     seller: LegCells
     buyer: LegCells
-
-    def check_terms(self, terms):
-        """ValueError when terms differ from the grid's in anything but
-        the coupon."""
-        if (terms.maturity, terms.rate, terms.recovery) != (
-                self.maturity, self.rate, self.recovery):
-            raise ValueError("pricing grid built for other terms: only "
-                             "the coupon may change")
 
 
 def _face_distances(domain, fluxes, r_nodes):
@@ -288,12 +284,14 @@ def _face_distances(domain, fluxes, r_nodes):
     return y_s, np.outer(r_nodes, ray)
 
 
-def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
-    """The contract's pricing grid: the plain legs at the reference's
-    distance and the seller's and buyer's legs.
+def prepare_pricing(basis, source, terms, recovery_seller, recovery_buyer,
+                    n_time=48, n_radial=200):
+    """The contract's pricing grid: its terms and recoveries, the plain
+    legs at the reference's distance and the seller's and buyer's legs.
 
-    The chart and the driver distances come from the source, which must
-    come from transform_3d (ValueError otherwise). A buyer with
+    A recovery outside [0, 1) is a ValueError. The chart and the driver
+    distances come from the source, which must come from transform_3d
+    (ValueError otherwise). A buyer with
     z > 4 sqrt(T) cannot default by maturity: its leg then has no cells,
     the seller's is the seller-reference wedge's on cva_2d's default
     quadrature, and no three-name kernel is evaluated. Otherwise one
@@ -303,6 +301,8 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     the discount and the quadrature weights; the 1D legs are evaluated
     where it is not 0.
     """
+    if not all(0.0 <= r < 1.0 for r in (recovery_seller, recovery_buyer)):
+        raise ValueError("recovery must be in [0, 1)")
     domain = source.domain
     if domain is None or source.drivers is None:
         raise ValueError("source carries no chart or driver distances: "
@@ -310,8 +310,9 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     x_gap, y0, z_gap = source.drivers
     rate, recovery = terms.rate, terms.recovery
     d0, a0 = cds1d._legs_1d(terms.maturity, y0, rate, recovery)
-    contract = dict(maturity=terms.maturity, rate=rate, recovery=recovery,
-                    d0=float(d0), a0=float(a0))
+    contract = dict(terms=terms, recovery_seller=recovery_seller,
+                    recovery_buyer=recovery_buyer, d0=float(d0),
+                    a0=float(a0))
     wedge = _unreachable_buyer_wedge(source, terms.maturity)
     if wedge is not None:
         return PricingGrid(**contract, seller=partial(_wedge_cells, wedge),
@@ -342,69 +343,67 @@ def prepare_pricing(basis, source, terms, n_time=48, n_radial=200):
     return PricingGrid(**contract, seller=legs[0], buyer=legs[1])
 
 
-def _leg(grid, terms, which, recovery):
-    """CVA or DVA on the grid, reported >= 0 as cva_3d and dva_3d do, and
-    its exact derivative in the coupon.
+def _leg(grid, coupon, side):
+    """CVA (side +1) or DVA (side -1) on the grid at coupon, reported
+    >= 0 as cva_3d and dva_3d do, and its exact derivative in the coupon.
 
-    Each leg is cds2d._leg_sum of its cells at terms, the CVA's where
-    V > 0 and the DVA's where V < 0; a leg the report clamps to 0, as
-    one with no cells, has slope 0.
+    Each leg is cds2d._leg_sum of its cells at the grid's terms and
+    coupon, the CVA's where V > 0 and the DVA's where V < 0; a leg the
+    report clamps to 0, as one with no cells, has slope 0.
     """
-    grid.check_terms(terms)
-    cells = (grid.seller if which == "cva" else grid.buyer)(terms)
-    side = 1.0 if which == "cva" else -1.0
-    leg, slope = _leg_sum(cells, terms.coupon, side)
+    leg, recovery = ((grid.seller, grid.recovery_seller) if side > 0
+                     else (grid.buyer, grid.recovery_buyer))
+    value, slope = _leg_sum(leg(replace(grid.terms, coupon=coupon)),
+                            coupon, side)
     # the seller's leg is a loss; the buyer's is non-positive and its
     # sign flip makes the bilateral value V - cva + dva. Truncation
     # noise can push a vanishing adjustment a hair negative.
     scale = side * (1.0 - recovery)
-    if not scale * leg > 0.0:
+    if not scale * value > 0.0:
         return 0.0, 0.0
-    return scale * leg, scale * slope
+    return scale * value, scale * slope
 
 
-def cva_3d(grid, terms, recovery_seller):
-    """Expected discounted loss when the seller defaults first, >= 0.
+def cva_3d(grid, coupon):
+    """Expected discounted loss when the seller defaults first, >= 0, of
+    the grid's contract (prepare_pricing) at coupon.
 
     Positive exposure of the protection buyer hits the seller's face;
-    the loss is the unrecovered fraction of the replacement value. grid
-    is prepare_pricing's grid for these terms at any coupon.
+    the loss is the unrecovered fraction of the replacement value.
 
     On the grid of a buyer with z > 4 sqrt(T), who cannot default by
     maturity, the seller's leg is the two-name wedge's: the value is
     cva_2d's on its default quadrature, within
     (1 - R_s)(1 - R) erfc(z / sqrt(2T)) of the three-name value.
     """
-    return _leg(grid, terms, "cva", recovery_seller)[0]
+    return _leg(grid, coupon, 1.0)[0]
 
 
-def dva_3d(grid, terms, recovery_buyer):
-    """Own-default benefit when the buyer defaults first, reported >= 0.
+def dva_3d(grid, coupon):
+    """Own-default benefit when the buyer defaults first, reported >= 0,
+    of the grid's contract (prepare_pricing) at coupon.
 
     The raw adjustment is non-positive (negative exposure times the
     unrecovered fraction); the sign flip makes the bilateral value
-    V - cva + dva. grid is prepare_pricing's grid for these terms at any
-    coupon.
+    V - cva + dva.
 
     On the grid of a buyer with z > 4 sqrt(T), who cannot default by
     maturity, the buyer's leg has no cells and the value is 0.0; the
     true one is at most
     (1 - R_b) coupon T erfc(z / sqrt(2T)).
     """
-    return _leg(grid, terms, "dva", recovery_buyer)[0]
+    return _leg(grid, coupon, -1.0)[0]
 
 
-def breakeven_coupon_3d(grid, terms, recovery_seller, recovery_buyer,
-                        adjust):
-    """Coupon that zeroes the adjusted contract value.
+def breakeven_coupon_3d(grid, adjust):
+    """Coupon that zeroes the adjusted value of the grid's contract.
 
     adjust picks which legs enter: "none" reproduces the plain coupon
     d0/a0 (the grid's legs at the reference's distance), "cva" charges
     the seller leg, "dva" credits the buyer leg, "bilateral" both, each
-    as cva_3d and dva_3d report it on grid, prepare_pricing's grid for
-    these terms at any coupon; any other adjust is a ValueError. On the
-    grid of a buyer with z > 4 sqrt(T) the adjusted value is off by at
-    most the sum of the two legs' error bounds there.
+    as cva_3d and dva_3d report it on grid; any other adjust is a
+    ValueError. On the grid of a buyer with z > 4 sqrt(T) the adjusted
+    value is off by at most the sum of the two legs' error bounds there.
 
     The root of f(c) = (d0/a0 - c) a0 - cva(c) + dva(c), which is exactly
     0 at the plain coupon while no leg enters, is one Newton solve from
@@ -414,17 +413,15 @@ def breakeven_coupon_3d(grid, terms, recovery_seller, recovery_buyer,
     if adjust not in ("none", "cva", "dva", "bilateral"):
         raise ValueError("adjust must be one of none, cva, dva, "
                          "bilateral, not %r" % (adjust,))
-    grid.check_terms(terms)
     plain = grid.d0 / grid.a0
 
     def adjusted(coupon):
-        t = replace(terms, coupon=coupon)
         value, slope = (plain - coupon) * grid.a0, -grid.a0
         if adjust in ("cva", "bilateral"):
-            cva, d_cva = _leg(grid, t, "cva", recovery_seller)
+            cva, d_cva = _leg(grid, coupon, 1.0)
             value, slope = value - cva, slope - d_cva
         if adjust in ("dva", "bilateral"):
-            dva, d_dva = _leg(grid, t, "dva", recovery_buyer)
+            dva, d_dva = _leg(grid, coupon, -1.0)
             value, slope = value + dva, slope + d_dva
         return value, slope
 
@@ -447,32 +444,24 @@ class Price3d:
     dva: float
 
 
-def price_3d(basis, source, terms, recovery_seller, recovery_buyer,
-             n_time=48, n_radial=200):
-    """The four break-even coupons, CVA and DVA of one contract.
+def price_3d(grid):
+    """The four break-even coupons of the grid's contract
+    (prepare_pricing), and its CVA and DVA at grid.terms.coupon.
 
-    Every root and both adjustments (at terms.coupon) read one
-    prepare_pricing grid, built from the source's chart and driver
-    distances. A leg with no cells adds nothing to a root, so then the
-    bilateral coupon is the one-leg coupon without it: on the grid of a
-    buyer with z > 4 sqrt(T) the CVA-only one, rooted once on the
-    two-name wedge.
+    A leg with no cells adds nothing to a root, so then the bilateral
+    coupon is the one-leg coupon without it: on the grid of a buyer with
+    z > 4 sqrt(T) the CVA-only one, rooted once on the two-name wedge.
     """
-    grid = prepare_pricing(basis, source, terms, n_time, n_radial)
-
-    def coupon(adjust):
-        return breakeven_coupon_3d(grid, terms, recovery_seller,
-                                   recovery_buyer, adjust)
-
-    bec_cva, bec_dva = coupon("cva"), coupon("dva")
+    bec_cva = breakeven_coupon_3d(grid, "cva")
+    bec_dva = breakeven_coupon_3d(grid, "dva")
     # a leg of fixed cells, none of them, adds nothing to a root; a leg
     # built at each coupon may have cells at another
     empty = [isinstance(leg, LegCells) and leg.weight.size == 0
              for leg in (grid.buyer, grid.seller)]
     bec_bilateral = (bec_cva if empty[0] else bec_dva if empty[1]
-                     else coupon("bilateral"))
+                     else breakeven_coupon_3d(grid, "bilateral"))
     return Price3d(
-        bec_1d=coupon("none"), bec_cva_only=bec_cva, bec_dva_only=bec_dva,
-        bec_bilateral=bec_bilateral,
-        cva=cva_3d(grid, terms, recovery_seller),
-        dva=dva_3d(grid, terms, recovery_buyer))
+        bec_1d=breakeven_coupon_3d(grid, "none"), bec_cva_only=bec_cva,
+        bec_dva_only=bec_dva, bec_bilateral=bec_bilateral,
+        cva=cva_3d(grid, grid.terms.coupon),
+        dva=dva_3d(grid, grid.terms.coupon))

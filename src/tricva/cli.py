@@ -300,14 +300,12 @@ def cmd_eig(cfg, out_dir, cache_dir):
 def cmd_price(cfg, out_dir, cache_dir):
     spec, basis, key = ensure_basis(cfg, cache_dir)
     source = cds3d.transform_3d(spec, *cfg.drivers)
-    rec_s = cfg.firms["X"].recovery
-    rec_b = cfg.firms["Z"].recovery
-    quad = cfg.quadrature
     rows = []
     for mat in cfg.maturities:
-        p = cds3d.price_3d(basis, source, replace(cfg.terms, maturity=mat),
-                           rec_s, rec_b, n_time=quad["n_time"],
-                           n_radial=quad["n_radial"])
+        p = cds3d.price_3d(cds3d.prepare_pricing(
+            basis, source, replace(cfg.terms, maturity=mat),
+            cfg.firms["X"].recovery, cfg.firms["Z"].recovery,
+            **cfg.quadrature))
         rows.append((mat, p.bec_1d, p.bec_cva_only, p.bec_dva_only,
                      p.bec_bilateral, p.cva, p.dva,
                      cds3d.survival_3d(basis, mat, source)))
@@ -359,17 +357,16 @@ def cmd_validate(cfg, out_dir, cache_dir):
     x0, y0, z0 = cfg.drivers
     source = cds3d.transform_3d(spec, x0, y0, z0)
     tau = cfg.terms.maturity
-    quad = cfg.quadrature
     grid = cds3d.prepare_pricing(basis, source, cfg.terms,
-                                 n_time=quad["n_time"],
-                                 n_radial=quad["n_radial"])
+                                 cfg.firms["X"].recovery,
+                                 cfg.firms["Z"].recovery, **cfg.quadrature)
     model = {
         "survival_1d": survival_1d(tau, y0),
         "survival_2d": survival_2d(tau, to_wedge(x0, y0,
                                                  cfg.corr.rho_xy)),
         "survival_3d": cds3d.survival_3d(basis, tau, source),
-        "cva_3d": cds3d.cva_3d(grid, cfg.terms, cfg.firms["X"].recovery),
-        "dva_3d": cds3d.dva_3d(grid, cfg.terms, cfg.firms["Z"].recovery),
+        "cva_3d": cds3d.cva_3d(grid, cfg.terms.coupon),
+        "dva_3d": cds3d.dva_3d(grid, cfg.terms.coupon),
     }
     extrap = _mc_runs(cfg)["richardson"]
     tol = cfg.mc["tolerance_se"]

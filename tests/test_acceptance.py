@@ -114,12 +114,13 @@ def test_criterion_6_monte_carlo_cross_validation(octant_basis,
     start = time.monotonic()
     for rho, (spec, basis) in cases.items():
         source = cds3d.transform_3d(spec, X0, Y0, Z0)
-        grid = cds3d.prepare_pricing(basis, source, TERMS)
+        grid = cds3d.prepare_pricing(basis, source, TERMS, REC_SELLER,
+                                     REC_BUYER)
         model = {
             "survival_2d": survival_2d(tau, to_wedge(X0, Y0, rho[0])),
             "survival_3d": cds3d.survival_3d(basis, tau, source),
-            "cva_3d": cds3d.cva_3d(grid, TERMS, REC_SELLER),
-            "dva_3d": cds3d.dva_3d(grid, TERMS, REC_BUYER),
+            "cva_3d": cds3d.cva_3d(grid, TERMS.coupon),
+            "dva_3d": cds3d.dva_3d(grid, TERMS.coupon),
         }
         ladder = [mc_oracle.McConfig(n_paths=100_000, dt=tau / steps,
                                      seed=29, antithetic=True)
@@ -145,9 +146,9 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
         source = cds3d.transform_3d(spec, X0, Y0, Z0)
         terms = CdsTerms(coupon=TERMS.coupon, rate=TERMS.rate,
                          recovery=TERMS.recovery, maturity=maturity)
-        grid = cds3d.prepare_pricing(basis, source, terms)
-        return {adj: cds3d.breakeven_coupon_3d(
-                    grid, terms, REC_SELLER, REC_BUYER, adjust=adj)
+        grid = cds3d.prepare_pricing(basis, source, terms, REC_SELLER,
+                                     REC_BUYER)
+        return {adj: cds3d.breakeven_coupon_3d(grid, adj)
                 for adj in ("none", "cva", "dva", "bilateral")}
 
     # (a) uncorrelated: seller risk cheapens the coupon, buyer risk
@@ -194,8 +195,9 @@ def test_criterion_7_breakeven_coupon_orderings(octant_basis,
 def test_criterion_8_dimensional_reduction_far_buyer():
     spec, basis = _build((0.8, 0.0, 0.0), 1500)
     source = cds3d.transform_3d(spec, X0, Y0, 1e3)
-    three_d = cds3d.cva_3d(cds3d.prepare_pricing(basis, source, TERMS),
-                           TERMS, REC_SELLER)
+    three_d = cds3d.cva_3d(cds3d.prepare_pricing(basis, source, TERMS,
+                                                 REC_SELLER, REC_BUYER),
+                           TERMS.coupon)
     two_d = cva_2d(to_wedge(X0, Y0, 0.8), TERMS, REC_SELLER)
     assert three_d == pytest.approx(two_d, rel=0.01), (
         "cva_3d %.6f vs cva_2d %.6f at z0=1e3: the angular eigenbasis "

@@ -463,9 +463,9 @@ class TestPricing:
     def test_adjustments_nonnegative(self, basis_table1):
         spec, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, src, TERMS)
-        cva = cds3d.cva_3d(grid, TERMS, 0.5)
-        dva = cds3d.dva_3d(grid, TERMS, 0.4)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+        cva = cds3d.cva_3d(grid, TERMS.coupon)
+        dva = cds3d.dva_3d(grid, TERMS.coupon)
         assert cva > 0.0
         assert dva > 0.0
         assert cva < 0.6    # bounded by the loss-given-default cap
@@ -474,13 +474,13 @@ class TestPricing:
     def test_quadrature_refinement_stable(self, basis_table1):
         spec, basis = basis_table1
         src = _source(basis_table1)
-        g1 = cds3d.prepare_pricing(basis, src, TERMS)
-        g2 = cds3d.prepare_pricing(basis, src, TERMS,
+        g1 = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+        g2 = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4,
                                    n_time=96, n_radial=400)
-        c1 = cds3d.cva_3d(g1, TERMS, 0.5)
-        c2 = cds3d.cva_3d(g2, TERMS, 0.5)
-        d1 = cds3d.dva_3d(g1, TERMS, 0.4)
-        d2 = cds3d.dva_3d(g2, TERMS, 0.4)
+        c1 = cds3d.cva_3d(g1, TERMS.coupon)
+        c2 = cds3d.cva_3d(g2, TERMS.coupon)
+        d1 = cds3d.dva_3d(g1, TERMS.coupon)
+        d2 = cds3d.dva_3d(g2, TERMS.coupon)
         assert c1 == pytest.approx(c2, rel=5e-4)
         assert d1 == pytest.approx(d2, rel=5e-4)
 
@@ -489,9 +489,9 @@ class TestPricing:
         spec_o, basis_o = octant_basis
         spec_t, basis_t = basis_table1
         cva_o = cds3d.cva_3d(cds3d.prepare_pricing(
-            basis_o, _source(octant_basis), TERMS), TERMS, 0.5)
+            basis_o, _source(octant_basis), TERMS, 0.5, 0.4), TERMS.coupon)
         cva_t = cds3d.cva_3d(cds3d.prepare_pricing(
-            basis_t, _source(basis_table1), TERMS), TERMS, 0.5)
+            basis_t, _source(basis_table1), TERMS, 0.5, 0.4), TERMS.coupon)
         assert cva_t > 1.5 * cva_o
 
     def test_cva_falls_as_seller_gets_safer(self, basis_table1):
@@ -499,8 +499,8 @@ class TestPricing:
         vals = []
         for x0 in (X0, 2.5, 4.0):
             src = cds3d.transform_3d(spec, x0, Y0, Z0)
-            grid = cds3d.prepare_pricing(basis, src, TERMS)
-            vals.append(cds3d.cva_3d(grid, TERMS, 0.5))
+            grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+            vals.append(cds3d.cva_3d(grid, TERMS.coupon))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.2 * vals[0]
 
@@ -509,9 +509,9 @@ class TestPricing:
         near = cds3d.transform_3d(spec, X0, Y0, Z0)
         far = cds3d.transform_3d(spec, X0, Y0, 3.0)
         d_near = cds3d.dva_3d(
-            cds3d.prepare_pricing(basis, near, TERMS), TERMS, 0.4)
+            cds3d.prepare_pricing(basis, near, TERMS, 0.5, 0.4), TERMS.coupon)
         d_far = cds3d.dva_3d(
-            cds3d.prepare_pricing(basis, far, TERMS), TERMS, 0.4)
+            cds3d.prepare_pricing(basis, far, TERMS, 0.5, 0.4), TERMS.coupon)
         assert d_far < d_near
 
     def test_reduces_to_two_driver_price(self, reduction_basis):
@@ -519,8 +519,8 @@ class TestPricing:
         # collapses onto the two-driver wedge value
         spec, basis = reduction_basis
         src = cds3d.transform_3d(spec, X0, Y0, 6.0)
-        c3 = cds3d.cva_3d(cds3d.prepare_pricing(basis, src, TERMS),
-                          TERMS, 0.5)
+        c3 = cds3d.cva_3d(cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4),
+                          TERMS.coupon)
         wedge = cds2d.to_wedge(X0, Y0, 0.8)
         c2 = cds2d.cva_2d(wedge, TERMS, recovery_seller=0.5)
         assert c3 == pytest.approx(c2, rel=0.05)
@@ -531,9 +531,9 @@ class TestPricing:
         q2 = cds2d.survival_2d(TERMS.maturity, wedge)
         for z0 in (10.0, 50.0):
             src = cds3d.transform_3d(spec, X0, Y0, z0)
-            grid = cds3d.prepare_pricing(basis, src, TERMS)
-            assert cds3d.cva_3d(grid, TERMS, 0.5) == c2
-            assert cds3d.dva_3d(grid, TERMS, 0.4) == 0.0
+            grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+            assert cds3d.cva_3d(grid, TERMS.coupon) == c2
+            assert cds3d.dva_3d(grid, TERMS.coupon) == 0.0
             assert cds3d.survival_3d(basis, TERMS.maturity, src) == q2
 
 
@@ -573,7 +573,7 @@ class TestPricingGrid:
         # bit for bit, and the dropped cells are the zero-weight ones
         _, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, src, TERMS)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
         faces = _face_weights(basis, src, 48, 200)
         for cells, (weight, tau_left, y) in zip((grid.seller, grid.buyer),
                                                 faces):
@@ -601,7 +601,7 @@ class TestPricingGrid:
         monkeypatch.setattr(cds1d, "_legs_1d", recorded)
         monkeypatch.setattr(cds2d, "_legs_1d", recorded)
         grid = cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
-                                     n_time=24, n_radial=100)
+                                     0.5, 0.4, n_time=24, n_radial=100)
         cells = (grid.seller, grid.buyer)
         assert sizes == [c.weight.size for c in cells]
         for c in cells:
@@ -627,8 +627,8 @@ class TestPricingGrid:
 
         monkeypatch.setattr(cds3d, "bessel_i_scaled", counting)
         monkeypatch.setattr(cds3d, "IveTable", Recording)
-        cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
-                              n_time=24, n_radial=100)
+        cds3d.prepare_pricing(basis, _source(basis_table1), TERMS, 0.5,
+                              0.4, n_time=24, n_radial=100)
         assert len(tables) == len(asked) == 1
         assert 0 < asked[0] == len(tables[0].asks[0])
         assert asked[0] < tables[0].n_cells / 5
@@ -639,8 +639,8 @@ class TestPricingGrid:
         # counts as 0
         spec, basis = basis_table1
         src = _source(basis_table1)
-        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=24,
-                                     n_radial=100)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4,
+                                     n_time=24, n_radial=100)
         t, t_w = gauss_legendre(24, 0.0, TERMS.maturity)
         r_hi = src.r0 + 8.0 * np.sqrt(TERMS.maturity)
         r, r_w = gauss_legendre(100, r_hi * 1e-6, r_hi)
@@ -685,42 +685,45 @@ class TestPricingGrid:
         # a source that carries no chart
         _, basis = basis_table1
         grid = cds3d.prepare_pricing(basis, _source(basis_table1), TERMS,
-                                     n_time=8, n_radial=16)
+                                     0.5, 0.4, n_time=8, n_radial=16)
         d0, a0 = cds1d._legs_1d(TERMS.maturity, Y0, TERMS.rate,
                                 TERMS.recovery)
         assert (grid.d0, grid.a0) == (d0, a0)
         bare = cds3d.SphericalPoint(r0=3.0, phi0=0.6, theta0=0.8)
         with pytest.raises(ValueError, match="transform_3d"):
-            cds3d.prepare_pricing(basis, bare, TERMS)
+            cds3d.prepare_pricing(basis, bare, TERMS, 0.5, 0.4)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, float("nan")])
+    def test_refuses_recovery_outside_unit_interval(self, basis_table1, bad):
+        _, basis = basis_table1
+        src = _source(basis_table1)
+        for recoveries in ((bad, 0.4), (0.5, bad)):
+            with pytest.raises(ValueError, match="recovery"):
+                cds3d.prepare_pricing(basis, src, TERMS, *recoveries,
+                                      n_time=8, n_radial=16)
 
     @pytest.mark.parametrize("z0", [Z0, 50.0], ids=["near", "far_buyer"])
-    def test_legs_and_roots_reject_other_terms(self, basis_table1, z0):
-        # on the three-name grid and on a far buyer's grid, whose buyer
-        # leg has no cells and seller leg is the wedge's, only the coupon
-        # may change
+    def test_seller_recovery_scales_only_the_cva(self, basis_table1, z0):
+        # the grid carries its recoveries: on the three-name grid and on
+        # a far buyer's, whose seller leg is the wedge's, a seller that
+        # recovers nothing doubles the CVA of one that recovers half
         spec, basis = basis_table1
         src = cds3d.transform_3d(spec, X0, Y0, z0)
-        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=8,
-                                     n_radial=16)
-        assert (grid.buyer.weight.size == 0) == (z0 == 50.0)
-        for change in ({"maturity": 4.0}, {"rate": 0.03},
-                       {"recovery": 0.3}):
-            t = replace(TERMS, **change)
-            for price in (lambda: cds3d.cva_3d(grid, t, 0.5),
-                          lambda: cds3d.dva_3d(grid, t, 0.4),
-                          lambda: cds3d.breakeven_coupon_3d(
-                              grid, t, 0.5, 0.4, "bilateral")):
-                with pytest.raises(ValueError, match="other terms"):
-                    price()
+        half, none = (cds3d.prepare_pricing(basis, src, TERMS, rec_s, 0.4,
+                                            n_time=8, n_radial=16)
+                      for rec_s in (0.5, 0.0))
+        assert cds3d.cva_3d(none, TERMS.coupon) == 2.0 * cds3d.cva_3d(
+            half, TERMS.coupon) > 0.0
+        assert cds3d.dva_3d(none, TERMS.coupon) == cds3d.dva_3d(
+            half, TERMS.coupon)
 
 
 class TestBreakeven:
     def test_orderings_and_plain_reduction(self, octant_basis):
         spec, basis = octant_basis
         src = _source(octant_basis)
-        kw = dict(recovery_seller=0.5, recovery_buyer=0.4)
-        grid = cds3d.prepare_pricing(basis, src, TERMS)
-        bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+        bec = {m: cds3d.breakeven_coupon_3d(grid, m)
                for m in ("none", "cva", "dva", "bilateral")}
         assert bec["none"] == pytest.approx(
             cds1d.breakeven_coupon_1d(5.0, Y0, 0.02, 0.4), rel=1e-12)
@@ -729,15 +732,13 @@ class TestBreakeven:
     def test_bilateral_root_zeroes_adjusted_value(self, octant_basis):
         spec, basis = octant_basis
         src = _source(octant_basis)
-        grid = cds3d.prepare_pricing(basis, src, TERMS)
-        c = cds3d.breakeven_coupon_3d(
-            grid, TERMS, recovery_seller=0.5, recovery_buyer=0.4,
-            adjust="bilateral")
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+        c = cds3d.breakeven_coupon_3d(grid, "bilateral")
         t2 = CdsTerms(coupon=c, rate=TERMS.rate, recovery=TERMS.recovery,
                       maturity=TERMS.maturity)
         v = (cds1d.cds_values_1d(5.0, Y0, t2)
-             - cds3d.cva_3d(grid, t2, 0.5)
-             + cds3d.dva_3d(grid, t2, 0.4))
+             - cds3d.cva_3d(grid, t2.coupon)
+             + cds3d.dva_3d(grid, t2.coupon))
         assert abs(v) < 1e-9
 
     def test_unreachable_buyer_root_zeroes_adjusted_value(
@@ -751,16 +752,15 @@ class TestBreakeven:
             raise AssertionError("three-name kernel evaluated")
 
         monkeypatch.setattr(cds3d, "IveTable", no_kernel)
-        grid = cds3d.prepare_pricing(basis, src, TERMS)
-        kw = dict(recovery_seller=0.5, recovery_buyer=0.4)
-        bec = {m: cds3d.breakeven_coupon_3d(grid, TERMS, adjust=m, **kw)
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4)
+        bec = {m: cds3d.breakeven_coupon_3d(grid, m)
                for m in ("none", "cva", "bilateral")}
         assert bec["cva"] == bec["bilateral"] < bec["none"]
         t2 = CdsTerms(coupon=bec["bilateral"], rate=TERMS.rate,
                       recovery=TERMS.recovery, maturity=TERMS.maturity)
         v = (cds1d.cds_values_1d(5.0, Y0, t2)
-             - cds3d.cva_3d(grid, t2, 0.5)
-             + cds3d.dva_3d(grid, t2, 0.4))
+             - cds3d.cva_3d(grid, t2.coupon)
+             + cds3d.dva_3d(grid, t2.coupon))
         assert abs(v) < 1e-9
 
     def test_far_buyer_prices_with_few_wedge_quadratures(
@@ -779,13 +779,15 @@ class TestBreakeven:
 
         monkeypatch.setattr(cds2d, "_wedge_cells", counting)
         monkeypatch.setattr(cds3d, "_wedge_cells", counting)
-        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4)
+        p = cds3d.price_3d(cds3d.prepare_pricing(basis, src, TERMS, 0.5,
+                                                 0.4))
         assert len(calls) <= 5
         assert p.bec_cva_only == p.bec_bilateral < p.bec_1d
         assert p.bec_dva_only == p.bec_1d
         del calls[:]
-        cds3d.price_3d(basis, _source(reduction_basis), TERMS, 0.5, 0.4,
-                       n_time=24, n_radial=100)
+        cds3d.price_3d(cds3d.prepare_pricing(
+            basis, _source(reduction_basis), TERMS, 0.5, 0.4, n_time=24,
+            n_radial=100))
         assert calls == []
 
     def test_far_seller_bilateral_is_the_dva_only_root(
@@ -795,7 +797,7 @@ class TestBreakeven:
         # the DVA-only one, with no root of its own
         spec, basis = basis_table1
         src = cds3d.transform_3d(spec, 1e3, Y0, Z0)
-        grid = cds3d.prepare_pricing(basis, src, TERMS, n_time=24,
+        grid = cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4, n_time=24,
                                      n_radial=100)
         assert grid.seller.weight.size == 0 < grid.buyer.weight.size
         adjusts = []
@@ -806,13 +808,12 @@ class TestBreakeven:
             return root(*args)
 
         monkeypatch.setattr(cds3d, "breakeven_coupon_3d", recorded)
-        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4, n_time=24,
-                           n_radial=100)
+        p = cds3d.price_3d(grid)
         assert "bilateral" not in adjusts
         assert p.cva == 0.0 < p.dva
         assert p.bec_bilateral == p.bec_dva_only
-        assert p.bec_bilateral == cds3d.breakeven_coupon_3d(
-            grid, TERMS, 0.5, 0.4, "bilateral")
+        assert p.bec_bilateral == cds3d.breakeven_coupon_3d(grid,
+                                                            "bilateral")
 
     @pytest.mark.parametrize("bundle, maturity", [
         ("octant_basis", 1.0), ("octant_basis", 5.0),
@@ -829,19 +830,18 @@ class TestBreakeven:
         far = bundle == "reduction_basis"
         src = cds3d.transform_3d(spec, X0, Y0, 50.0 if far else Z0)
         terms = replace(TERMS, maturity=maturity)
-        grid = cds3d.prepare_pricing(basis, src, terms)
+        grid = cds3d.prepare_pricing(basis, src, terms, 0.5, 0.4)
         assert (grid.buyer.weight.size == 0) == far
         d0, a0 = cds1d._legs_1d(maturity, Y0, terms.rate, terms.recovery)
         for adjust in ("cva",) if far else ("cva", "dva", "bilateral"):
-            got = cds3d.breakeven_coupon_3d(grid, terms, 0.5, 0.4, adjust)
+            got = cds3d.breakeven_coupon_3d(grid, adjust)
 
             def adjusted(coupon):
-                t = replace(terms, coupon=coupon)
                 value = d0 - coupon * a0
                 if adjust != "dva":
-                    value -= cds3d.cva_3d(grid, t, 0.5)
+                    value -= cds3d.cva_3d(grid, coupon)
                 if adjust != "cva":
-                    value += cds3d.dva_3d(grid, t, 0.4)
+                    value += cds3d.dva_3d(grid, coupon)
                 return value
 
             want = brentq(adjusted, 0.5 * d0 / a0, 2.0 * d0 / a0,
@@ -852,9 +852,9 @@ class TestBreakeven:
     def test_rejects_unknown_adjust(self, octant_basis, adjust):
         _, basis = octant_basis
         grid = cds3d.prepare_pricing(basis, _source(octant_basis), TERMS,
-                                     n_time=8, n_radial=16)
+                                     0.5, 0.4, n_time=8, n_radial=16)
         with pytest.raises(ValueError, match="none, cva, dva, bilateral"):
-            cds3d.breakeven_coupon_3d(grid, TERMS, 0.5, 0.4, adjust)
+            cds3d.breakeven_coupon_3d(grid, adjust)
 
     def test_safe_buyer_roots_on_the_reported_legs(self):
         # at 1y the raw buyer leg of this safe buyer is a hair negative
@@ -865,19 +865,17 @@ class TestBreakeven:
         x0, y0, z0 = 1.863937644072288, 2.503456943005701, 2.985653180560821
         src = cds3d.transform_3d(spec, x0, y0, z0)
         terms = replace(TERMS, maturity=1.0)
-        grid = cds3d.prepare_pricing(basis, src, terms, n_time=24,
-                                     n_radial=100)
-        bec = {m: cds3d.breakeven_coupon_3d(
-                   grid, terms, recovery_seller=0.5, recovery_buyer=0.4,
-                   adjust=m)
+        grid = cds3d.prepare_pricing(basis, src, terms, 0.5, 0.4,
+                                     n_time=24, n_radial=100)
+        bec = {m: cds3d.breakeven_coupon_3d(grid, m)
                for m in ("none", "cva", "dva", "bilateral")}
         # the roots carry the Newton stop's 1e-12 round-off
         assert bec["dva"] >= bec["none"] * (1.0 - 1e-12)
         assert bec["bilateral"] >= bec["cva"] * (1.0 - 1e-12)
         t2 = replace(terms, coupon=bec["bilateral"])
         v = (cds1d.cds_values_1d(1.0, y0, t2)
-             - cds3d.cva_3d(grid, t2, 0.5)
-             + cds3d.dva_3d(grid, t2, 0.4))
+             - cds3d.cva_3d(grid, t2.coupon)
+             + cds3d.dva_3d(grid, t2.coupon))
         assert abs(v) < 1e-9
 
 
@@ -904,7 +902,7 @@ class TestFrozenPrices:
     def test_prices_against_frozen_values(self, bench_basis, z0, want):
         spec, basis = bench_basis
         src = cds3d.transform_3d(spec, X0, Y0, z0)
-        p = cds3d.price_3d(basis, src, TERMS, 0.5, 0.4, n_time=24,
-                           n_radial=100)
+        p = cds3d.price_3d(cds3d.prepare_pricing(basis, src, TERMS, 0.5, 0.4,
+                                                 n_time=24, n_radial=100))
         assert (p.bec_1d, p.bec_cva_only, p.bec_dva_only, p.bec_bilateral,
                 p.cva, p.dva) == pytest.approx(want, rel=1e-10, abs=0.0)

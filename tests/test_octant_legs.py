@@ -1,4 +1,5 @@
-"""Three-name legs on the octant against their exact values.
+"""Three-name legs and break-even coupons on the octant against their
+exact values.
 
 On the octant the three drivers are independent, so each leg's
 integrand at time t factors into one-name pieces. The CVA node is the
@@ -8,7 +9,7 @@ reference exposure E[V+(T - t, y_t); y alive]: the reference's image
 density integrated against V+ below the exposure root. The DVA node
 swaps seller and buyer and takes -V- above the root. Nothing here reads
 the eigenbasis: the reference is 1D quadrature on the closed-form CDS
-values.
+values, and an exact coupon a tight brentq on those legs.
 """
 
 import math
@@ -16,9 +17,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import erf
 
-from tricva import cds3d, cli
+from tricva import cds1d, cds3d, cli
 from tricva.cds1d import cds_values_1d
 from tricva.cds2d import exposure_root
 from tricva.specfun import gauss_legendre
@@ -68,6 +70,23 @@ def octant_legs(drivers, terms, recovery_seller, recovery_buyer,
     return (1.0 - recovery_seller) * cva, (1.0 - recovery_buyer) * dva
 
 
+def octant_coupon(drivers, terms, recovery_seller, recovery_buyer, adjust):
+    """Exact break-even coupon with the CVA ("cva") or both legs
+    ("bilateral") of octant_legs: a tight brentq on the adjusted value
+    d0 - c a0 - cva(c) [+ dva(c)], d0 and a0 the reference's 1D legs."""
+    d0, a0 = cds1d._legs_1d(terms.maturity, drivers[1], terms.rate,
+                            terms.recovery)
+
+    def adjusted(coupon):
+        cva, dva = octant_legs(drivers, replace(terms, coupon=coupon),
+                               recovery_seller, recovery_buyer)
+        return d0 - coupon * a0 - cva + (dva if adjust == "bilateral"
+                                         else 0.0)
+
+    return brentq(adjusted, 0.5 * d0 / a0, 2.0 * d0 / a0, xtol=1e-15,
+                  rtol=1e-15)
+
+
 @pytest.fixture(scope="module")
 def contract():
     """The CLI's default drivers, terms and recoveries."""
@@ -99,7 +118,23 @@ def test_engine_legs_within_one_percent(octant_basis, contract, maturity):
     drivers, terms, rec_s, rec_b, quadrature = contract
     terms = replace(terms, maturity=maturity)
     grid = cds3d.prepare_pricing(basis, cds3d.transform_3d(spec, *drivers),
-                                 terms, **quadrature)
-    got = (cds3d.cva_3d(grid, terms, rec_s), cds3d.dva_3d(grid, terms, rec_b))
+                                 terms, rec_s, rec_b, **quadrature)
+    got = (cds3d.cva_3d(grid, terms.coupon), cds3d.dva_3d(grid, terms.coupon))
     want = octant_legs(drivers, terms, rec_s, rec_b)
     assert got == pytest.approx(want, rel=1e-2, abs=0.0)
+
+
+@pytest.mark.parametrize("maturity", [1.0, 2.0, 3.0, 4.0, 5.0])
+def test_engine_coupons_within_a_tenth_of_a_bp(octant_basis, contract,
+                                               maturity):
+    # the CVA-only and bilateral coupons on the default basis and
+    # quadrature; 1 y holds although its legs are -1.27 % and -2.70 % off
+    spec, basis = octant_basis
+    drivers, terms, rec_s, rec_b, quadrature = contract
+    terms = replace(terms, maturity=maturity)
+    grid = cds3d.prepare_pricing(basis, cds3d.transform_3d(spec, *drivers),
+                                 terms, rec_s, rec_b, **quadrature)
+    for adjust in ("cva", "bilateral"):
+        assert cds3d.breakeven_coupon_3d(grid, adjust) == pytest.approx(
+            octant_coupon(drivers, terms, rec_s, rec_b, adjust), rel=0.0,
+            abs=0.1e-4), adjust
