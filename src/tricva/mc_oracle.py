@@ -10,11 +10,17 @@ for comparisons by Richardson extrapolation over the two finest step
 sizes. Those step sizes share a seed, so the coarse walk's normals are
 the first part of the fine walk's: simulate_contract walks such a
 ladder off one normal stream, drawn once, with every output bit that
-of separate walks. Exact first-passage sampling is out of scope: this
-module is an oracle, not a production pricer.
+of separate walks. The draws run beside the walk: one extra thread
+draws the stream ahead into a small ring of blocks while the walkers
+step, and is joined before the walk returns or raises. Exact
+first-passage sampling is out of scope: this module is an oracle, not
+a production pricer.
 """
 
+import collections
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,11 @@ from .cds1d import cds_values_1d
 from .model import CorrelationTriple, validate_correlations
 
 _CHUNK = 16384
+# the normal stream's producer runs up to _SLOTS - 2 blocks ahead of
+# the two a read can span; blocks much smaller than 2^17 hand the
+# interpreter lock back and forth too often to overlap
+_BLOCK = 2 ** 17
+_SLOTS = 4
 
 
 @dataclass(frozen=True)
@@ -110,28 +121,73 @@ def _stack(chunks, antithetic):
 
 
 class _NormalStream:
-    """The standard normals of default_rng(seed), read by stream position.
+    """The first total standard normals of default_rng(seed), drawn ahead.
 
-    read(lo, n) returns draws lo .. lo + n - 1. Calls must come in
-    non-decreasing lo, so the draws below the last lo are dropped: the
-    buffer holds only the draws of the last read that extended it.
+    A producer thread fills a ring of _SLOTS blocks of _BLOCK normals
+    with standard_normal(out=block), one block after another, which
+    gives the bits of one up-front draw; numpy releases the interpreter
+    lock while it fills, so the draws run beside the walk. read(lo, n)
+    returns draws lo .. lo + n - 1, n at most _BLOCK, as a view of a
+    ring block where they lie in one, valid until the next read. A read
+    hands the blocks wholly below lo back to the producer, so a later
+    read must not start below an earlier one; a read may skip ahead.
+    close() stops and joins the producer; an exception raised while
+    drawing is raised by the read that waits on its block.
     """
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.start = 0  # stream position of buf[0]
-        self.buf = np.empty(0)
+    def __init__(self, seed, total):
+        self.total = total
+        self.ring = tuple(np.empty(_BLOCK) for _ in range(_SLOTS))
+        self.first = 0  # block index of held[0]
+        self.held = collections.deque()
+        self._free = queue.SimpleQueue()
+        for block in self.ring:
+            self._free.put(block)
+        self._ready = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._produce, args=(np.random.default_rng(seed),),
+            name="tricva-normals", daemon=True)
+        self._thread.start()
+
+    def _produce(self, rng):
+        try:
+            for lo in range(0, self.total, _BLOCK):
+                block = self._free.get()
+                if block is None:  # closed
+                    return
+                rng.standard_normal(out=block[:self.total - lo])
+                self._ready.put(block)
+        except Exception as err:  # raised by the consumer's next read
+            self._ready.put(err)
+
+    def _receive(self):
+        got = self._ready.get()
+        if isinstance(got, Exception):
+            raise got
+        return got
 
     def read(self, lo, n):
-        drawn = self.start + len(self.buf)
-        if lo + n > drawn:
-            # normals are filled one after another, so drawing the
-            # missing tail now gives the bits of one up-front draw
-            self.buf = np.concatenate(
-                (self.buf[lo - self.start:],
-                 self._rng.standard_normal(lo + n - drawn)))
-            self.start = lo
-        return self.buf[lo - self.start:lo - self.start + n]
+        if not 0 < n <= _BLOCK:
+            raise ValueError("a read takes 1 to %d draws" % _BLOCK)
+        if lo < self.first * _BLOCK or lo + n > self.total:
+            raise ValueError("draws %d .. %d are not ahead in the stream"
+                             % (lo, lo + n - 1))
+        b0, b1 = lo // _BLOCK, (lo + n - 1) // _BLOCK
+        while self.first < b0:
+            self._free.put(self.held.popleft() if self.held
+                           else self._receive())
+            self.first += 1
+        while self.first + len(self.held) <= b1:
+            self.held.append(self._receive())
+        off = lo - b0 * _BLOCK
+        if b0 == b1:
+            return self.held[0][off:off + n]
+        return np.concatenate((self.held[0][off:],
+                               self.held[1][:off + n - _BLOCK]))
+
+    def close(self):
+        self._free.put(None)
+        self._thread.join()
 
 
 def _walker(x0s, chol_t, horizon, n_steps, cfg):
@@ -140,7 +196,9 @@ def _walker(x0s, chol_t, horizon, n_steps, cfg):
     It yields the count of normals its next step reads, is sent those
     draws, and returns (first, at_first) when every chunk is walked.
 
-    A step costs about its normal draw: crossings are tracked on
+    A step's draws are made ahead on the stream's producer thread, so
+    a step costs its arithmetic and waits only when the producer falls
+    behind. That arithmetic is kept small: crossings are tracked on
     per-driver and per-path alive flags, so nothing reduces over the
     drivers, the increments are written into one reused buffer, and a
     step's new crossings are found by flat index into the hit mask.
@@ -190,11 +248,14 @@ def _walk(x0s, rho, horizon, cfgs):
     antithetic: every walk reads the one normal stream of that seed
     from its start, as a walk of its own would, so each config's
     arrays are bit for bit those of walking it alone. The walkers
-    advance lowest stream position first, so the stream's buffer holds
-    about one step of draws. Returns, per config in order, n_steps and,
-    per path, the first step at which each driver was <= 0 (n_steps + 1
-    if never) and the driver positions at the path's first crossing
-    step.
+    advance lowest stream position first, so the draws still to be read
+    span about one step of each walk and the stream holds at most the
+    two ring blocks a read spans. The stream's producer thread draws
+    the finest config's normals, no more, ahead of the walkers, and is
+    joined before the walk returns or raises. Returns, per config in
+    order, n_steps and, per path, the first step at which each driver
+    was <= 0 (n_steps + 1 if never) and the driver positions at the
+    path's first crossing step.
     """
     if np.any(x0s <= 0):
         raise ValueError("drivers must start above the barrier")
@@ -209,17 +270,21 @@ def _walk(x0s, rho, horizon, cfgs):
                for c in cfgs]
     walkers = [_walker(x0s, chol_t, horizon, n, c)
                for n, c in zip(n_steps, cfgs)]
-    stream = _NormalStream(cfgs[0].seed)
-    reads = {i: (0, next(w)) for i, w in enumerate(walkers)}
-    out = [None] * len(cfgs)
-    while reads:
-        i = min(reads, key=lambda j: reads[j][0])
-        lo, n = reads[i]
-        try:
-            reads[i] = (lo + n, walkers[i].send(stream.read(lo, n)))
-        except StopIteration as done:
-            del reads[i]
-            out[i] = (n_steps[i],) + done.value
+    rows = cfgs[0].n_paths // 2 if cfgs[0].antithetic else cfgs[0].n_paths
+    stream = _NormalStream(cfgs[0].seed, max(n_steps) * rows * len(x0s))
+    try:
+        reads = {i: (0, next(w)) for i, w in enumerate(walkers)}
+        out = [None] * len(cfgs)
+        while reads:
+            i = min(reads, key=lambda j: reads[j][0])
+            lo, n = reads[i]
+            try:
+                reads[i] = (lo + n, walkers[i].send(stream.read(lo, n)))
+            except StopIteration as done:
+                del reads[i]
+                out[i] = (n_steps[i],) + done.value
+    finally:
+        stream.close()
     return out
 
 

@@ -253,19 +253,19 @@ class TestMcCommand:
     def test_one_walk_per_step_size(self, tmp_path, monkeypatch):
         # both step sizes are one ladder walked off one normal stream:
         # the coarse walk reads the fine walk's draws, so the normals
-        # drawn are the fine walk's alone
+        # drawn (the stream's total) are the fine walk's alone
         walk = mc_oracle._walk
         read = mc_oracle._NormalStream.read
-        ladders, drawn = [], []
+        ladders, totals, ends = [], set(), []
 
         def counted_walk(x0s, rho, horizon, cfgs):
             ladders.append([round(horizon / c.dt) for c in cfgs])
             return walk(x0s, rho, horizon, cfgs)
 
         def counted_read(stream, lo, n):
-            draws = read(stream, lo, n)
-            drawn.append(stream.start + len(stream.buf))
-            return draws
+            totals.add(stream.total)
+            ends.append(lo + n)
+            return read(stream, lo, n)
 
         monkeypatch.setattr(mc_oracle, "_walk", counted_walk)
         monkeypatch.setattr(mc_oracle._NormalStream, "read", counted_read)
@@ -273,7 +273,7 @@ class TestMcCommand:
         assert _run(tmp_path, "mc", cfgp) == cli.OK
         assert ladders == [[50, 100]]
         # 20,000 antithetic paths: 10,000 pairs of three normals a step
-        assert drawn[-1] == max(drawn) == 10_000 * 3 * 100
+        assert totals == {ends[-1]} == {max(ends)} == {10_000 * 3 * 100}
 
 
 class TestExitCodes:

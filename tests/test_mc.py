@@ -1,6 +1,9 @@
 """Euler Monte Carlo cross-checks against the closed-form pricers."""
 
+import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -270,16 +273,25 @@ class TestWalkAgainstReferenceLoop:
                             1.0, [coarse, fine])
 
     def test_stream_holds_about_one_step(self, monkeypatch):
-        # the walkers read lowest stream position first, so the buffer
-        # never holds more than one fine step of draws plus one coarse
-        # step, and only the fine walk's draws are ever made
+        # the walkers read lowest stream position first, so the draws
+        # still to be read span at most one fine step plus one coarse
+        # step; the stream holds at most the two blocks of its fixed
+        # ring that a read spans, and the producer makes only the fine
+        # walk's draws
         read = mc_oracle._NormalStream.read
-        held, drawn = [], []
+        made = _patch_rng(monkeypatch)
+        spans, held = [], []
+        end = 0
 
         def recorded(stream, lo, n):
+            nonlocal end
             draws = read(stream, lo, n)
-            held.append(len(stream.buf))
-            drawn.append(stream.start + len(stream.buf))
+            end = max(end, lo + n)
+            spans.append(end - lo)
+            held.append(len(stream.held))
+            assert len(stream.ring) == mc_oracle._SLOTS
+            assert all(any(b is r for r in stream.ring)
+                       for b in stream.held)
             return draws
 
         monkeypatch.setattr(mc_oracle._NormalStream, "read", recorded)
@@ -288,8 +300,213 @@ class TestWalkAgainstReferenceLoop:
         mc_oracle._walk(np.array([0.9, 1.3, 0.7]), (0.8, 0.5, 0.3), 1.0,
                         ladder)
         fine_step = coarse_step = mc_oracle._CHUNK // 2 * 3
-        assert max(held) <= fine_step + coarse_step
-        assert drawn[-1] == max(drawn) == 20_000 * 3 * 100
+        assert max(spans) <= fine_step + coarse_step
+        assert max(held) <= 2
+        [rng] = made
+        assert sum(rng.sizes) == end == 20_000 * 3 * 100
+        assert max(rng.sizes) == mc_oracle._BLOCK
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _RecordingRng:
+    """default_rng(seed) that records each fill's size and can raise
+    on the fail_at-th fill."""
+
+    def __init__(self, seed, fail_at):
+        self._rng = _DEFAULT_RNG(seed)
+        self.sizes = []
+        self.fail_at = fail_at
+
+    def standard_normal(self, out):
+        if len(self.sizes) + 1 == self.fail_at:
+            raise RuntimeError("fill %d failed" % self.fail_at)
+        self.sizes.append(out.size)
+        return self._rng.standard_normal(out=out)
+
+
+def _patch_rng(monkeypatch, fail_at=None):
+    made = []
+
+    def make(seed):
+        made.append(_RecordingRng(seed, fail_at))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", make)
+    return made
+
+
+def _raised_within(seconds, fn, *args):
+    """What fn(*args) raised, run on a thread that must end in time."""
+    raised = []
+
+    def run():
+        try:
+            fn(*args)
+        except Exception as err:
+            raised.append(err)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the call did not return in time"
+    return raised
+
+
+@pytest.fixture
+def open_stream():
+    streams = []
+
+    def make(seed, total):
+        streams.append(mc_oracle._NormalStream(seed, total))
+        return streams[-1]
+
+    yield make
+    for stream in streams:
+        stream.close()
+
+
+class TestNormalStream:
+    """A read returns default_rng(seed)'s draws at its positions."""
+
+    BLOCK = mc_oracle._BLOCK
+
+    def test_skipped_draws_are_not_misread(self, open_stream):
+        total = 4 * self.BLOCK
+        want = _DEFAULT_RNG(5).standard_normal(total)
+        stream = open_stream(5, total)
+        assert np.array_equal(stream.read(0, 10), want[:10])
+        assert np.array_equal(stream.read(20, 5), want[20:25])
+        # past a whole block never read, and across a block boundary
+        lo = 3 * self.BLOCK - 3
+        assert np.array_equal(stream.read(lo, 7), want[lo:lo + 7])
+
+    def test_refuses_reads_it_cannot_serve(self, open_stream):
+        total = 3 * self.BLOCK
+        stream = open_stream(5, total)
+        stream.read(self.BLOCK + 1, 4)
+        for lo, n in ((self.BLOCK - 1, 1), (total - 2, 3),
+                      (self.BLOCK + 1, self.BLOCK + 1),
+                      (self.BLOCK + 1, 0)):
+            with pytest.raises(ValueError):
+                stream.read(lo, n)
+
+    def test_overlapping_reads_under_fast_switching(self, open_stream):
+        # reads of any length up to a block, each overlapping or
+        # skipping past the last as a ladder's walkers do, while the
+        # interpreter switches threads as often as it can
+        total = 6 * self.BLOCK + 12_345
+        want = _DEFAULT_RNG(9).standard_normal(total)
+        pick = _DEFAULT_RNG(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stream = open_stream(9, total)
+            lo = 0
+            while True:
+                n = int(pick.integers(1, self.BLOCK + 1))
+                if lo + n > total:
+                    break
+                assert np.array_equal(stream.read(lo, n), want[lo:lo + n])
+                lo += int(pick.integers(0, 2 * n))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestStreamLifetime:
+    """The producer thread is joined however a walk ends, and an error
+    on either thread is raised in the caller."""
+
+    CFG = McConfig(n_paths=10_000, dt=0.1, seed=3, antithetic=True)
+
+    def test_survival_leaves_no_thread(self):
+        before = threading.active_count()
+        simulate_survival(3, [X0, Y0, Z0], (0.8, 0.5, 0.3), 5.0, self.CFG)
+        assert threading.active_count() == before
+
+    def test_walker_error_is_raised(self, monkeypatch):
+        read = mc_oracle._NormalStream.read
+        calls = itertools.count(1)
+
+        def failing(stream, lo, n):
+            if next(calls) == 7:
+                raise RuntimeError("walker failed")
+            return read(stream, lo, n)
+
+        monkeypatch.setattr(mc_oracle._NormalStream, "read", failing)
+        before = threading.active_count()
+        [err] = _raised_within(60, simulate_survival, 3, [X0, Y0, Z0],
+                               (0.8, 0.5, 0.3), 5.0, self.CFG)
+        assert str(err) == "walker failed"
+        assert threading.active_count() == before
+
+    def test_producer_error_is_raised(self, monkeypatch):
+        made = _patch_rng(monkeypatch, fail_at=3)
+        before = threading.active_count()
+        [err] = _raised_within(60, simulate_contract, (X0, Y0, Z0),
+                               (0.8, 0.5, 0.3), TERMS, self.CFG, 0.5, 0.4)
+        assert str(err) == "fill 3 failed"
+        assert made[0].sizes == [mc_oracle._BLOCK] * 2
+        assert threading.active_count() == before
+
+
+# simulate_contract's estimates at the benchmark's validate size, as
+# (mean, std_error) per step count and quantity
+_FROZEN_MC = {
+    (0.0, 0.0, 0.0): {
+        100: {
+            "survival_1d": (0.82535, 0.0023849122689635913),
+            "survival_2d": (0.4352, 0.0025847174074563046),
+            "survival_3d": (0.27425, 0.0027049815974502034),
+            "cva_3d": (0.009676182106678368, 0.0002058123118068927),
+            "dva_3d": (0.0024157276646136895, 4.761716574878691e-05),
+        },
+        200: {
+            "survival_1d": (0.8154, 0.002413061600255713),
+            "survival_2d": (0.42285, 0.0025880412565789162),
+            "survival_3d": (0.26765, 0.0026729313882366346),
+            "cva_3d": (0.009633012011511925, 0.0002049201599628901),
+            "dva_3d": (0.002430315260321854, 4.797622677281055e-05),
+        },
+    },
+    (0.8, 0.5, 0.3): {
+        100: {
+            "survival_1d": (0.82805, 0.002375159760603239),
+            "survival_2d": (0.51625, 0.0020836333417351234),
+            "survival_3d": (0.4, 0.0024301420861867124),
+            "cva_3d": (0.030721607680726185, 0.00034321379872506356),
+            "dva_3d": (0.0016756656425822285, 3.8288878663817124e-05),
+        },
+        200: {
+            "survival_1d": (0.81855, 0.0024043019396036095),
+            "survival_2d": (0.50835, 0.002084697183342133),
+            "survival_3d": (0.3926, 0.002432512222286079),
+            "cva_3d": (0.03069091716318857, 0.00033911686560276767),
+            "dva_3d": (0.001711498598106445, 3.872081703475075e-05),
+        },
+    },
+}
+
+
+class TestFrozenMc:
+    """simulate_contract's Richardson ladder at the benchmark's validate
+    size (2e4 antithetic paths, 100 and 200 steps over 5 y), held with
+    == to frozen values: every estimate's bits depend on every draw of
+    the stream and on the order the walk reads them."""
+
+    @pytest.mark.parametrize("rho", list(_FROZEN_MC))
+    def test_estimates_are_frozen(self, rho):
+        ladder = [_cfg(n, TERMS.maturity, n_paths=20_000)
+                  for n in (100, 200)]
+        before = threading.active_count()
+        runs = simulate_contract((X0, Y0, Z0), rho, TERMS, ladder,
+                                 recovery_seller=0.5, recovery_buyer=0.4)
+        assert threading.active_count() == before
+        for n_steps, run in zip((100, 200), runs):
+            got = {name: (est.mean, est.std_error)
+                   for name, est in run.items()}
+            assert got == _FROZEN_MC[rho][n_steps]
 
 
 class TestValidation:
